@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 import time
@@ -120,7 +121,7 @@ def _cmd_dist(args) -> int:
         out = _ensure_outdir(args.out, args.force)
         lo, hi, count = args.grid
         xs = np.geomspace(lo, hi, int(count)) if lo > 0 else np.linspace(lo, hi, int(count))
-        rows = [(x, pdf(d, x), cdf(d, x)) for x in xs]
+        rows = zip(xs, pdf(d, xs), cdf(d, xs))
         write_csv(out / "distribution.csv", ["x", "pdf", "cdf"], rows)
         _write_manifest(out, "dist", vars(args) | {"grid": list(args.grid)}, None, t0)
     return 0
@@ -131,7 +132,7 @@ def _cmd_law(args) -> int:
     law = DamageLaw(args.kind, G=args.G, ell=args.ell, n=args.n)
     out = _ensure_outdir(args.out, args.force)
     phis = np.linspace(0.0, args.phi_max * law.Gl, args.points)
-    rows = [(p, psi(law, p), degradation(law, p), damage(law, p)) for p in phis]
+    rows = zip(phis, psi(law, phis), degradation(law, phis), damage(law, phis))
     write_csv(out / "law.csv", ["phi", "psi", "degradation", "damage"], rows)
     _write_manifest(out, "law", vars(args), None, t0)
     return 0
@@ -322,7 +323,7 @@ def _cmd_sent(args) -> int:
     if args.mesh:
         level = args.mesh
     if args.law:
-        cfg.law_kind = args.law
+        cfg = dataclasses.replace(cfg, law_kind=args.law)
     out = _ensure_outdir(args.out, args.force)
     mesh = build_sent_mesh(level)
     result = run_sent(cfg, mesh=mesh)
@@ -364,8 +365,6 @@ def _cmd_sent(args) -> int:
 def _build_parser() -> _Parser:
     p = _Parser(prog="cdfdamage", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/LAPACK thread pools used by the linear algebra")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("dist", help="tabulate pdf/cdf and print moments")
@@ -441,13 +440,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigurationError("--threads must be >= 1")
-            import os
-
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -458,9 +450,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version paths
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-
-
-parse_and_dispatch = main
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Softening laws generated by CDFs of the tensile strain-energy density.
 
 Each law stores fracture energy G and internal length ell; the ratio
-Gl = G/ell is the saturation energy density. For a law with CDF F the
-stored tensile energy is psi(phi) = integral_0^phi (1 - F_scaled(s)) ds,
-the degradation factor is g = d(psi)/d(phi) = 1 - F_scaled, and the
-damage variable is d = 1 - g.
+Gl = G/ell is the saturation energy density. The stored tensile energy
+psi(phi) = Gl Phi(phi/Gl), the degradation factor g = d(psi)/d(phi) and
+the damage variable d = 1 - g read the standardized pair (Phi, g) of the
+law's kind from the table in ``kinds``, where each kind is defined once
+together with the CDF that generates it.
 
 The chi-square kind with n != 2 is retained as an executable
 counterexample: its degradation factor is unbounded near zero for n < 2
@@ -19,54 +20,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import special
-from .distributions import hypergeometric_norm, sech_power_integral
 from .errors import ConfigurationError, DomainError, NoSmoothExpansionError
+from .kinds import TABLE
 
-LAW_KINDS = (
-    "power",
-    "exponential",
-    "cauchy",
-    "radical",
-    "chisquare",
-    "logistic",
-    "halfnormal",
-    "gudermannian",
-    "hypergeometric",
-    "piecewise",
-    "rational",
-    "rapiddecay",
-)
-_PARAMETRIC = ("power", "radical", "chisquare", "hypergeometric", "piecewise", "rational")
+LAW_KINDS = tuple(TABLE)
 
 # Kinds that are admissible degradation maps for every admitted parameter
 # (everything except the chi-square counterexample).
 ADMISSIBLE_KINDS = tuple(k for k in LAW_KINDS if k != "chisquare")
 
 
-def _sech_np(x):
-    # overflow-safe array sech
-    ax = np.abs(x)
-    e = np.exp(-np.minimum(ax, 710.0))
-    return 2.0 * e / (1.0 + e * e)
-
-
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# Dimensionless peak states u* = phi*/Gl of the 1D effective stress, from
-# g(u) + 2u g'(u) = 0. The logistic and Gudermannian roots are transcendental
-# (4u tanh u = 1 and 2v tanh v = 1).
-_U_LOGISTIC = _bisect(lambda u: 4.0 * u * math.tanh(u) - 1.0, 0.1, 1.0)
-_V_GUDERMANNIAN = _bisect(lambda v: 2.0 * v * math.tanh(v) - 1.0, 0.1, 2.0)
+def check_law_kind(kind: str, n: float | None) -> None:
+    """Raise ConfigurationError unless `kind` names a law and `n` suits it."""
+    entry = TABLE.get(kind)
+    if entry is None:
+        raise ConfigurationError(f"unknown damage-law kind '{kind}'")
+    if entry.shape:
+        if n is None or not (n > 0.0):
+            raise ConfigurationError(f"kind '{kind}' requires a positive n")
+        if entry.shape_range and not (entry.shape_range[0] <= n <= entry.shape_range[1]):
+            raise ConfigurationError(
+                f"{kind} n must lie in [{entry.shape_range[0]:g}, {entry.shape_range[1]:g}], got {n}"
+            )
+    elif n is not None:
+        raise ConfigurationError(f"kind '{kind}' takes no shape parameter")
 
 
 @dataclass(frozen=True)
@@ -79,17 +56,9 @@ class DamageLaw:
     n: float | None = None
 
     def __post_init__(self):
-        if self.kind not in LAW_KINDS:
-            raise ConfigurationError(f"unknown damage-law kind '{self.kind}'")
+        check_law_kind(self.kind, self.n)
         if not (self.G > 0.0 and self.ell > 0.0):
             raise ConfigurationError("G and ell must be positive")
-        if self.kind in _PARAMETRIC:
-            if self.n is None or not (self.n > 0.0):
-                raise ConfigurationError(f"kind '{self.kind}' requires a positive n")
-            if self.kind == "rational" and not (0.5 <= self.n <= 2.0):
-                raise ConfigurationError(f"rational n must lie in [0.5, 2], got {self.n}")
-        elif self.n is not None:
-            raise ConfigurationError(f"kind '{self.kind}' takes no shape parameter")
 
     @property
     def Gl(self) -> float:
@@ -106,99 +75,26 @@ def _check_phi(phi):
 
 def psi(law: DamageLaw, phi):
     """Stored tensile energy density; saturates at G/ell (chi-square included)."""
-    u = _check_phi(phi) / law.Gl
-    scalar = np.isscalar(phi)
-    n = law.n
-    k = law.kind
-    if k == "exponential":
-        out = law.Gl * (-np.expm1(-u))
-    elif k == "cauchy":
-        out = (2.0 * law.Gl / np.pi) * np.arctan(0.5 * np.pi * u)
-    elif k == "logistic":
-        out = law.Gl * np.tanh(u)
-    elif k == "halfnormal":
-        out = law.Gl * np.vectorize(special.erf)(0.5 * math.sqrt(math.pi) * u)
-    elif k == "gudermannian":
-        out = (4.0 * law.Gl / np.pi) * np.arctan(np.tanh(0.25 * np.pi * u))
-    elif k == "radical":
-        out = law.Gl * u / (1.0 + u ** (1.0 / n)) ** n
-    elif k == "rational":
-        out = law.Gl * u * (u + n * n) / (u + n) ** 2
-    elif k == "rapiddecay":
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(u <= 1e-12, law.Gl * u, law.Gl * u * (-np.expm1(-1.0 / np.maximum(u, 1e-300))))
-    elif k == "power":
-        cap = (n + 1.0) / n
-        w = np.minimum(u, cap)
-        out = law.Gl * np.where(
-            u <= cap, w * (1.0 - (n * w / (n + 1.0)) ** n / (n + 1.0)), 1.0
-        )
-    elif k == "piecewise":
-        knee = 1.0 / (n + 1.0)
-        w = np.maximum(u, knee)
-        out = law.Gl * np.where(
-            u <= knee, u, 1.0 - (n / (n + 1.0)) * ((n + 1.0) * w) ** (-1.0 / n)
-        )
-    elif k == "chisquare":
-        out = law.Gl * np.vectorize(special.reg_lower_gamma)(0.5 * n, np.maximum(u, 0.0))
-    elif k == "hypergeometric":
-        c = hypergeometric_norm(n)
-        out = (law.Gl / c) * np.vectorize(sech_power_integral)(n, c * u)
-    else:
-        raise ConfigurationError(k)
-    return float(out) if scalar else out
+    out = law.Gl * TABLE[law.kind].Phi(_check_phi(phi) / law.Gl, law.n)
+    return float(out) if np.isscalar(phi) else out
 
 
 def degradation(law: DamageLaw, phi):
     """Stiffness-reduction factor g = d(psi)/d(phi); in [0, 1] except chi-square n != 2."""
-    u = _check_phi(phi) / law.Gl
-    scalar = np.isscalar(phi)
-    n = law.n
-    k = law.kind
-    if k == "exponential":
-        out = np.exp(-u)
-    elif k == "cauchy":
-        out = 1.0 / (1.0 + (0.5 * np.pi * u) ** 2)
-    elif k == "logistic":
-        out = _sech_np(u) ** 2
-    elif k == "halfnormal":
-        out = np.exp(-0.25 * np.pi * u * u)
-    elif k == "gudermannian":
-        out = _sech_np(0.5 * np.pi * u)
-    elif k == "radical":
-        out = (1.0 + u ** (1.0 / n)) ** (-(n + 1.0))
-    elif k == "rational":
-        out = ((2.0 * n - n * n) * u + n**3) / (u + n) ** 3
-    elif k == "rapiddecay":
-        with np.errstate(divide="ignore", over="ignore"):
-            w = np.maximum(u, 1e-300)
-            out = np.where(u <= 1e-12, 1.0, -np.expm1(-1.0 / w) - np.exp(-1.0 / w) / w)
-    elif k == "power":
-        out = np.maximum(0.0, 1.0 - (n * u / (n + 1.0)) ** n)
-    elif k == "piecewise":
-        knee = 1.0 / (n + 1.0)
-        w = np.maximum(u, knee)
-        out = np.where(u <= knee, 1.0, ((n + 1.0) * w) ** (-(n + 1.0) / n))
-    elif k == "chisquare":
-        with np.errstate(divide="ignore"):
-            w = np.asarray(u, dtype=float)
-            out = np.where(
-                w > 0.0,
-                np.power(np.maximum(w, 1e-300), 0.5 * n - 1.0) * np.exp(-w) / math.gamma(0.5 * n),
-                1.0 if n == 2.0 else (np.inf if n < 2.0 else 0.0),
-            )
-    elif k == "hypergeometric":
-        c = hypergeometric_norm(n)
-        out = _sech_np(c * u) ** n
-    else:
-        raise ConfigurationError(k)
-    return float(out) if scalar else out
+    out = TABLE[law.kind].g(_check_phi(phi) / law.Gl, law.n)
+    return float(out) if np.isscalar(phi) else out
 
 
 def damage(law: DamageLaw, phi):
-    """Damage variable d = 1 - degradation (the per-kind formulas all reduce to this)."""
+    """Damage variable d = 1 - degradation."""
     out = 1.0 - np.asarray(degradation(law, phi))
     return float(out) if np.isscalar(phi) else out
+
+
+def kink(law: DamageLaw) -> float | None:
+    """Energy density phi at which g has a kink (the threshold laws), else None."""
+    entry = TABLE[law.kind]
+    return None if entry.kink is None else entry.kink(law.n) * law.Gl
 
 
 def radical_governing_coefficient(law: DamageLaw, phi):
@@ -225,57 +121,31 @@ def peak_state_dimensionless(kind: str, n: float | None = None):
 
     Returns None if the kind has no closed-form peak (numeric search applies).
     """
-    if kind == "exponential":
-        return 0.5, math.exp(-0.5)
-    if kind == "cauchy":
-        return 2.0 / (math.sqrt(3.0) * math.pi), 0.75
-    if kind == "logistic":
-        u = _U_LOGISTIC
-        return u, special.sech(u) ** 2
-    if kind == "halfnormal":
-        return 1.0 / math.sqrt(math.pi), math.exp(-0.25)
-    if kind == "gudermannian":
-        v = _V_GUDERMANNIAN
-        return 2.0 * v / math.pi, special.sech(v)
-    if kind == "radical":
-        u = (n / (n + 2.0)) ** n
-        return u, (1.0 + n / (n + 2.0)) ** (-(n + 1.0))
-    if kind == "piecewise":
-        return 1.0 / (n + 1.0), 1.0
-    return None
+    entry = TABLE[kind]
+    if entry.peak_u is None:
+        return None
+    u = entry.peak_u(n)
+    return u, float(entry.g(u, n))
 
 
-_CALIBRATION_CONSTANTS = {
-    # G/ell = C * sigma_max^2 / k. The three decimal constants are stored as
-    # the exact reciprocal-square of the peak-stress coefficient; see
-    # calibration_constant() for the consistency relation C = 1/(2 u* g*^2).
-    "exponential": math.e,
-    "cauchy": 4.0 * math.pi / 3.0**1.5,
-    "halfnormal": 0.5 * math.sqrt(math.e * math.pi),
-}
+def check_peak_domain(kind: str, n: float | None) -> None:
+    """The chi-square counterexample has a stress peak only for n >= 2."""
+    if kind == "chisquare" and (n is None or n < 2.0):
+        raise DomainError("chi-square peak response defined for n >= 2 only")
 
 
-def calibration_constant(kind: str, n: float | None = None, numeric_bracket: float = 10.0):
+def calibration_constant(kind: str, n: float | None = None):
     """Dimensionless C in G/ell = C sigma_max^2 / k, plus a 'numeric' flag.
 
-    For kinds with a closed-form peak, C follows from the peak state exactly;
-    the rest maximize the dimensionless stress numerically.
+    For kinds with a closed-form peak, C = 1/(2 u* g*^2) follows from the
+    peak state exactly; the rest maximize the dimensionless stress numerically.
     """
-    if kind in _CALIBRATION_CONSTANTS:
-        return _CALIBRATION_CONSTANTS[kind], False
-    if kind == "radical":
-        r = n / (n + 2.0)
-        return (1.0 + r) ** (2.0 * (n + 1.0)) / (2.0 * r**n), False
-    if kind == "piecewise":
-        return 0.5 * (n + 1.0), False
     peak = peak_state_dimensionless(kind, n)
     if peak is not None:
         u, g = peak
         return 1.0 / (2.0 * u * g * g), False
-    if kind == "chisquare" and (n is None or n < 2.0):
-        raise DomainError("chi-square calibration defined for n >= 2 only")
-    law = DamageLaw(kind, G=1.0, ell=1.0, n=n)
-    eps, sig = _golden_peak(law, 1.0)
+    check_peak_domain(kind, n)
+    eps, sig = _golden_peak(DamageLaw(kind, G=1.0, ell=1.0, n=n), 1.0)
     return 1.0 / (sig * sig), True
 
 
@@ -342,14 +212,14 @@ def taylor_coefficients(law: DamageLaw, order: int = 3):
     if not 1 <= order <= 3:
         raise DomainError("order must be 1, 2, or 3")
     kind = law.kind
-    if kind in ("power", "piecewise"):
+    if kink(law) is not None:
         return [1.0][:order]
     if kind == "chisquare" and law.n == 2.0:
         kind = "exponential"
     if kind not in _SMOOTH_KINDS:
         raise NoSmoothExpansionError(f"no smooth expansion at 0 for kind '{kind}'")
 
-    ref = DamageLaw(kind, G=1.0, ell=1.0, n=law.n if kind in _PARAMETRIC else None)
+    ref = DamageLaw(kind, G=1.0, ell=1.0, n=law.n if TABLE[kind].shape else None)
 
     def q2(h):
         return (psi(ref, h) - h) / (h * h)
@@ -394,13 +264,8 @@ def admissibility_report(law: DamageLaw, grid_points: int = 1000):
         u = t / (1.0 - t)
         return degradation(law, law.Gl * u) * law.Gl / (1.0 - t) ** 2
 
-    pts = None
-    if law.kind == "power":
-        cap = (law.n + 1.0) / law.n
-        pts = [cap / (1.0 + cap)]
-    elif law.kind == "piecewise":
-        knee = 1.0 / (law.n + 1.0)
-        pts = [knee / (1.0 + knee)]
+    phi_kink = kink(law)
+    pts = None if phi_kink is None else [phi_kink / (law.Gl + phi_kink)]
     integral, _ = integrate.quad(g_of_t, 0.0, 1.0, points=pts, limit=400,
                                  epsabs=1e-12, epsrel=1e-9)
     return {

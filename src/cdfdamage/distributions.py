@@ -1,9 +1,13 @@
 """Probability distributions whose CDFs generate the damage laws.
 
 Eleven half-line (or half-line-interpreted) laws plus the degenerate
-power CDF. Each kind provides cdf/pdf, closed-form moments where they
-exist, a quadrature moment oracle, and the survival integral
-S(y) = integral_0^y (1 - F(s)) ds used by the energetic bar module.
+power CDF, all read from the kind table in ``kinds``. Each kind provides
+cdf/pdf, closed-form moments where they exist, a quadrature moment
+oracle, and the survival integral S(y) = integral_0^y (1 - F(s)) ds used
+by the energetic bar module. The two full-line kinds (Cauchy, logistic)
+enter the damage construction through their half-line CDF, the CDF
+restricted to x >= 0 and renormalized; moments and survival integrals use
+that half-line CDF for every kind.
 """
 
 from __future__ import annotations
@@ -11,39 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy import integrate
 
-from . import special
 from .errors import ConfigurationError, DivergenceError, DomainError, NoClosedFormError
+from .kinds import TABLE, hypergeometric_norm  # noqa: F401  (re-exported)
 
-HALF_LINE_KINDS = (
-    "exponential",
-    "halfnormal",
-    "chisquare",
-    "radical",
-    "piecewise",
-    "rational",
-    "gudermannian",
-    "hypergeometric",
-    "rapiddecay",
-    "power",
-)
-FULL_LINE_KINDS = ("cauchy", "logistic")
-KINDS = HALF_LINE_KINDS + FULL_LINE_KINDS
-
-_NOPARAM_KINDS = ("logistic", "halfnormal", "gudermannian", "rapiddecay")
-
-# Kinds with a known closed-form raw moment.
-_CLOSED_MOMENT_KINDS = (
-    "radical",
-    "piecewise",
-    "rational",
-    "halfnormal",
-    "gudermannian",
-    "rapiddecay",
-)
+KINDS = tuple(TABLE)
+FULL_LINE_KINDS = tuple(k for k in KINDS if TABLE[k].full_line)
+HALF_LINE_KINDS = tuple(k for k in KINDS if not TABLE[k].full_line)
 
 
 @dataclass(frozen=True)
@@ -54,9 +34,10 @@ class DistributionSpec:
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        entry = TABLE.get(self.kind)
+        if entry is None:
             raise ConfigurationError(f"unknown distribution kind '{self.kind}'")
-        if self.kind in _NOPARAM_KINDS:
+        if not (entry.shape or entry.scaled):
             if self.param is not None:
                 raise ConfigurationError(f"kind '{self.kind}' takes no parameter")
             return
@@ -66,14 +47,15 @@ class DistributionSpec:
             raise ConfigurationError(
                 f"parameter of '{self.kind}' must be positive and finite, got {self.param}"
             )
-        if self.kind == "rational" and not (0.5 <= self.param <= 2.0):
+        if entry.shape_range and not (entry.shape_range[0] <= self.param <= entry.shape_range[1]):
             raise ConfigurationError(
-                f"rational shape must lie in [0.5, 2], got {self.param}"
+                f"{self.kind} shape must lie in [{entry.shape_range[0]:g}, "
+                f"{entry.shape_range[1]:g}], got {self.param}"
             )
 
     @property
     def half_line(self) -> bool:
-        return self.kind in HALF_LINE_KINDS
+        return not TABLE[self.kind].full_line
 
 
 @dataclass(frozen=True)
@@ -85,134 +67,31 @@ class MomentResult:
     condition: str
 
 
-def hypergeometric_norm(n: float) -> float:
-    """Total integral of sech^n over [0, inf): (2^n/n) * 2F1(n/2, n; n/2+1; -1)."""
-    return 2.0**n / n * special.hyp2f1(0.5 * n, n, 0.5 * n + 1.0, -1.0)
+def _like(x, out):
+    """A Python float for scalar input, otherwise the array."""
+    return float(out) if np.isscalar(x) else out
 
 
-def _sech_power_tail(n: float, y: float) -> float:
-    # integral_y^inf sech^n t dt: expand sech^n = 2^n e^{-nt} (1+e^{-2t})^{-n}
-    # and integrate termwise; geometric ratio e^{-2y}, so y >= ~0.7 suffices.
-    q = math.exp(-2.0 * y)
-    ek = math.exp(-n * y)
-    total = 0.0
-    coeff = 1.0
-    k = 0
-    while True:
-        term = coeff * ek / (n + 2.0 * k)
-        total += term
-        if abs(term) < 1e-18 * abs(total) or k > 400:
-            break
-        k += 1
-        coeff *= -(n + k - 1.0) / k
-        ek *= q
-    return 2.0**n * total
-
-
-def sech_power_integral(n: float, y: float) -> float:
-    """integral_0^y sech^n t dt, accurate across the whole half line."""
-    if y <= 0.0:
-        return 0.0
-    if y < 1.0:
-        s = math.sinh(y)
-        return s * special.hyp2f1(0.5, 0.5 * (n + 1.0), 1.5, -s * s)
-    return hypergeometric_norm(n) - _sech_power_tail(n, y)
-
-
-def _cdf_scalar(dist: DistributionSpec, x: float) -> float:
-    kind, p = dist.kind, dist.param
-    if dist.half_line and x <= 0.0:
-        return 0.0
-    if kind == "exponential":
-        return -math.expm1(-p * x)
-    if kind == "cauchy":
-        return 0.5 + math.atan(x / p) / math.pi
-    if kind == "logistic":
-        if x < 0.0:
-            e = math.exp(x)
-            return e / (1.0 + e)
-        return 1.0 / (1.0 + math.exp(-x))
-    if kind == "halfnormal":
-        return special.erf(x)
-    if kind == "chisquare":
-        return special.reg_lower_gamma(0.5 * p, 0.5 * x)
-    if kind == "radical":
-        return x / (1.0 + x ** (1.0 / p)) ** p
-    if kind == "piecewise":
-        knee = 1.0 / (p + 1.0)
-        if x <= knee:
-            return x
-        return 1.0 - (p / (p + 1.0)) * ((p + 1.0) * x) ** (-1.0 / p)
-    if kind == "rational":
-        return (x * x + x * p * p) / (x + p) ** 2
-    if kind == "gudermannian":
-        return special.gd(x)
-    if kind == "hypergeometric":
-        return min(sech_power_integral(p, x) / hypergeometric_norm(p), 1.0)
-    if kind == "rapiddecay":
-        if x <= 1e-12:
-            return 0.0
-        return x * (-math.expm1(-1.0 / x))
-    if kind == "power":
-        return min(x**p, 1.0)
-    raise ConfigurationError(kind)
-
-
-def _pdf_scalar(dist: DistributionSpec, x: float) -> float:
-    kind, p = dist.kind, dist.param
-    if dist.half_line and x < 0.0:
-        return 0.0
-    if kind == "exponential":
-        return p * math.exp(-p * x)
-    if kind == "cauchy":
-        return p / (math.pi * (x * x + p * p))
-    if kind == "logistic":
-        # doubled slope 2 e^x/(1+e^x)^2; a proper density on the half line only
-        return 0.5 * special.sech(0.5 * x) ** 2
-    if kind == "halfnormal":
-        return 2.0 * math.exp(-x * x) / math.sqrt(math.pi)
-    if kind == "chisquare":
-        if x == 0.0:
-            return 0.5 / math.gamma(0.5 * p) if p == 2.0 else (math.inf if p < 2.0 else 0.0)
-        return (0.5 * x) ** (0.5 * p - 1.0) * math.exp(-0.5 * x) / (2.0 * math.gamma(0.5 * p))
-    if kind == "radical":
-        return 1.0 / (1.0 + x ** (1.0 / p)) ** (p + 1.0)
-    if kind == "piecewise":
-        knee = 1.0 / (p + 1.0)
-        if x <= knee:
-            return 1.0
-        return ((p + 1.0) * x) ** (-(p + 1.0) / p)
-    if kind == "rational":
-        return p * (p * p + (2.0 - p) * x) / (p + x) ** 3
-    if kind == "gudermannian":
-        return special.sech(0.5 * math.pi * x)
-    if kind == "hypergeometric":
-        return p / 2.0**p * special.sech(x) ** p / special.hyp2f1(0.5 * p, p, 0.5 * p + 1.0, -1.0)
-    if kind == "rapiddecay":
-        if x <= 1e-12:
-            return 1.0
-        return -math.expm1(-1.0 / x) - math.exp(-1.0 / x) / x
-    if kind == "power":
-        if x >= 1.0:
-            return 0.0
-        return p * x ** (p - 1.0) if x > 0.0 else (p if p == 1.0 else (0.0 if p > 1.0 else math.inf))
-    raise ConfigurationError(kind)
+def _halfline(fn, dist: DistributionSpec, x):
+    # fn on the half line, 0 for x < 0
+    xs = np.asarray(x, dtype=float)
+    return np.where(xs < 0.0, 0.0, fn(np.maximum(xs, 0.0), dist.param))
 
 
 def cdf(dist: DistributionSpec, x):
     """Cumulative distribution function; vectorized over x."""
-    if np.isscalar(x):
-        return _cdf_scalar(dist, float(x))
-    xs = np.asarray(x, dtype=float)
-    return np.array([_cdf_scalar(dist, float(v)) for v in xs.ravel()]).reshape(xs.shape)
+    entry = TABLE[dist.kind]
+    if entry.full_line:
+        return _like(x, entry.full_cdf(np.asarray(x, dtype=float), dist.param))
+    return _like(x, _halfline(entry.F, dist, x))
 
 
 def pdf(dist: DistributionSpec, x):
     """Probability density; vectorized over x."""
-    if np.isscalar(x):
-        return _pdf_scalar(dist, float(x))
-    xs = np.asarray(x, dtype=float)
-    return np.array([_pdf_scalar(dist, float(v)) for v in xs.ravel()]).reshape(xs.shape)
+    entry = TABLE[dist.kind]
+    if entry.full_line:
+        return _like(x, entry.full_pdf(np.asarray(x, dtype=float), dist.param))
+    return _like(x, _halfline(entry.f, dist, x))
 
 
 def cdf_halfline(dist: DistributionSpec, x):
@@ -220,12 +99,9 @@ def cdf_halfline(dist: DistributionSpec, x):
 
     Half-line kinds are returned unchanged. This is the transform the
     damage construction consumes; for the logistic kind its derivative
-    matches the doubled logistic density.
+    is the doubled logistic density.
     """
-    if dist.half_line:
-        return cdf(dist, x)
-    f0 = _cdf_scalar(dist, 0.0)
-    return (np.maximum(cdf(dist, np.maximum(x, 0.0)), f0) - f0) / (1.0 - f0)
+    return _like(x, _halfline(TABLE[dist.kind].F, dist, x))
 
 
 def moment_closed(dist: DistributionSpec, m: float) -> MomentResult:
@@ -236,59 +112,19 @@ def moment_closed(dist: DistributionSpec, m: float) -> MomentResult:
     """
     if m < 0.0:
         raise DomainError(f"moment order must be >= 0, got {m}")
-    kind, n = dist.kind, dist.param
-    if kind not in _CLOSED_MOMENT_KINDS:
-        raise NoClosedFormError(f"no closed-form moment for kind '{kind}'")
+    entry = TABLE[dist.kind]
+    if entry.moment is None:
+        raise NoClosedFormError(f"no closed-form moment for kind '{dist.kind}'")
     if m == 0.0:
         return MomentResult(1.0, True, "total mass")
-    if kind == "radical":
-        if m * n >= 1.0:
-            return MomentResult(math.inf, False, "requires m*n < 1")
-        v = math.gamma(1.0 - m * n) * math.gamma(n + m * n) / math.gamma(n)
-        return MomentResult(v, True, "m*n < 1")
-    if kind == "piecewise":
-        if m * n >= 1.0:
-            return MomentResult(math.inf, False, "requires m*n < 1")
-        v = (n + 1.0) ** (-m) / ((m + 1.0) * (1.0 - m * n))
-        return MomentResult(v, True, "m*n < 1")
-    if kind == "rational":
-        if m >= 1.0:
-            return MomentResult(math.inf, False, "requires m < 1")
-        v = math.pi * m * n**m * (1.0 + m - m * n) / math.sin(math.pi * m)
-        return MomentResult(v, True, "m < 1")
-    if kind == "halfnormal":
-        v = math.gamma(0.5 * (m + 1.0)) / math.sqrt(math.pi)
-        return MomentResult(v, True, "m > -1")
-    if kind == "gudermannian":
-        # zeta-difference form rescaled by (2/pi)^(m+1) so it matches the
-        # density sech(pi x/2) rather than the unscaled sech kernel
-        z = float(mpmath.zeta(m + 1.0, 0.25) - mpmath.zeta(m + 1.0, 0.75))
-        v = (2.0 / math.pi) ** (m + 1.0) * math.gamma(m + 1.0) * 2.0 ** (-2.0 * m - 1.0) * z
-        return MomentResult(v, True, "m > -1")
-    if kind == "rapiddecay":
-        if not (0.0 < m < 1.0):
-            return MomentResult(math.inf, False, "requires 0 < m < 1")
-        # Gamma at negative non-integer argument via reflection
-        gneg = math.pi / (math.sin(math.pi * (-1.0 - m)) * math.gamma(2.0 + m))
-        return MomentResult(m * gneg, True, "0 < m < 1")
-    raise NoClosedFormError(kind)
-
-
-def _moment_divergent(dist: DistributionSpec, m: float) -> bool:
-    kind, n = dist.kind, dist.param
-    if kind in ("radical", "piecewise"):
-        return m * n >= 1.0
-    if kind == "rational":
-        return m >= 1.0
-    if kind == "rapiddecay":
-        return m >= 1.0
-    if kind == "cauchy":
-        return m >= 1.0
-    return False
+    text, finite = entry.moment_condition
+    if not finite(m, dist.param):
+        return MomentResult(math.inf, False, f"requires {text}")
+    return MomentResult(entry.moment(m, dist.param), True, text)
 
 
 def moment_numeric(dist: DistributionSpec, m: float, rel_tol: float = 1e-10) -> float:
-    """Adaptive-quadrature m-th raw moment over the support.
+    """Adaptive-quadrature m-th raw moment of the half-line density.
 
     The half line is mapped through x = t/(1-t) so algebraic tails
     (radical, rational, rapid-decay) are integrated accurately. The two
@@ -297,72 +133,70 @@ def moment_numeric(dist: DistributionSpec, m: float, rel_tol: float = 1e-10) -> 
     """
     if m < 0.0:
         raise DomainError(f"moment order must be >= 0, got {m}")
-    if _moment_divergent(dist, m):
+    entry = TABLE[dist.kind]
+    if entry.moment_condition and not entry.moment_condition[1](m, dist.param):
         raise DivergenceError(f"moment m={m} of '{dist.kind}' diverges")
-    if dist.kind == "cauchy":
-        # half-line transform density: 2*pdf on [0, inf)
-        def dens(x):
-            return 2.0 * _pdf_scalar(dist, x)
-    else:
-        def dens(x):
-            return _pdf_scalar(dist, x)
+    dens, p = entry.f, dist.param
 
     def integrand(t):
         x = t / (1.0 - t)
-        return dens(x) * x**m / (1.0 - t) ** 2
+        return float(dens(np.float64(x), p)) * x**m / (1.0 - t) ** 2
 
-    breaks = _support_breakpoints(dist)
-    pts = sorted({b / (1.0 + b) for b in breaks if b > 0.0})
+    pts = None
+    if entry.kink is not None:
+        x_kink = entry.scale(p) * entry.kink(p)
+        pts = [x_kink / (1.0 + x_kink)]
     val, _ = integrate.quad(
-        integrand, 0.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=rel_tol, limit=400
+        integrand, 0.0, 1.0, points=pts, epsabs=1e-13, epsrel=rel_tol, limit=400
     )
     return val
 
 
-def _support_breakpoints(dist: DistributionSpec) -> list[float]:
-    if dist.kind == "piecewise":
-        return [1.0 / (dist.param + 1.0)]
-    if dist.kind == "power":
-        return [1.0]
-    return []
-
-
-def survival_integral(dist: DistributionSpec, y: float) -> float:
-    """S(y) = integral_0^y (1 - F(s)) ds; S(inf) is the distribution mean."""
-    if y <= 0.0:
-        return 0.0
-    kind, p = dist.kind, dist.param
-    if kind == "exponential":
-        return -math.expm1(-p * y) / p
-    if kind == "power":
-        if y >= 1.0:
-            return p / (p + 1.0)
-        return y - y ** (p + 1.0) / (p + 1.0)
+def _survival_quad(dist: DistributionSpec, y: float) -> float:
     # map through s = t/(1-t) so algebraically decaying survival tails
-    # (radical, rational, rapid-decay) integrate accurately for large y
-    def integrand(t):
-        s = t / (1.0 - t)
-        return (1.0 - _cdf_scalar(dist, s)) / (1.0 - t) ** 2
+    # (radical, rapid-decay) integrate accurately for large y; the kinds
+    # without a closed form have no kink
+    F, p = TABLE[dist.kind].F, dist.param
 
-    upper = y / (1.0 + y)
-    breaks = [b / (1.0 + b) for b in _support_breakpoints(dist) if b < y]
-    val, _ = integrate.quad(
-        integrand, 0.0, upper, points=breaks or None,
-        epsabs=1e-14, epsrel=1e-11, limit=400,
-    )
+    def integrand(t):
+        return (1.0 - float(F(np.float64(t / (1.0 - t)), p))) / (1.0 - t) ** 2
+
+    val, _ = integrate.quad(integrand, 0.0, y / (1.0 + y), epsabs=1e-14, epsrel=1e-11, limit=400)
     return val
+
+
+def survival_integral(dist: DistributionSpec, y):
+    """S(y) = integral_0^y (1 - F(s)) ds of the half-line CDF; vectorized over y.
+
+    S(inf) is the distribution mean. Closed form where the kind has one,
+    one quadrature per point otherwise.
+    """
+    entry = TABLE[dist.kind]
+    ys = np.asarray(y, dtype=float)
+    pos = np.maximum(ys, 0.0)
+    if entry.survival is not None:
+        c = entry.scale(dist.param)
+        out = c * entry.survival(pos / c, dist.param)
+    else:
+        out = np.reshape([_survival_quad(dist, v) if v > 0.0 else 0.0 for v in pos.ravel()],
+                         ys.shape)
+    return _like(y, np.where(ys <= 0.0, 0.0, out))
 
 
 def saturation_point(dist: DistributionSpec, tail: float = 1e-12, bound: float = 1e9) -> float | None:
-    """Smallest grid value s with 1 - F(s) <= tail, or None if not reached below bound."""
+    """Smallest grid value s with 1 - F(s) <= tail for the half-line CDF,
+    or None if not reached below bound."""
+    def saturated(s):
+        return 1.0 - cdf_halfline(dist, s) <= tail
+
     s = 1.0
     while s < bound:
-        if 1.0 - _cdf_scalar(dist, s) <= tail:
+        if saturated(s):
             # refine downward by bisection against the previous octave
             lo, hi = s / 2.0, s
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if 1.0 - _cdf_scalar(dist, mid) <= tail:
+                if saturated(mid):
                     hi = mid
                 else:
                     lo = mid

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .continuum import Elasticity, elasticity_tensor
-from .damage_laws import DamageLaw, damage as law_damage, degradation as law_degradation
+from .damage_laws import DamageLaw, check_law_kind, damage as law_damage, degradation as law_degradation
 from .errors import ConfigurationError, NonConvergenceError
 
 MESH_LEVELS = ("coarse", "refined", "smoke")
@@ -229,6 +229,9 @@ class SimulationConfig:
     field_every: int = 0               # snapshot cadence in accepted steps, 0 = end only
 
     def __post_init__(self):
+        check_law_kind(self.law_kind, self.law_n)
+        if not (-1.0 < self.nu < 0.5):
+            raise ConfigurationError(f"nu must lie in (-1, 0.5), got {self.nu}")
         if not (self.Gc > 0.0):
             raise ConfigurationError("Gc must be positive")
         if self.ell is not None and not self.ell > 0.0:
@@ -239,6 +242,11 @@ class SimulationConfig:
             raise ConfigurationError("u_max and the displacement increments must be positive")
         if not (self.staggered_tol > 0.0 and self.max_staggered_iters >= 1):
             raise ConfigurationError("staggered_tol must be positive and iteration cap >= 1")
+        if not (0.0 <= self.stop_reaction_fraction < 1.0):
+            raise ConfigurationError(
+                f"stop_reaction_fraction must lie in [0, 1), got {self.stop_reaction_fraction}")
+        if self.max_halvings < 0:
+            raise ConfigurationError(f"max_halvings must be >= 0, got {self.max_halvings}")
 
     def resolve_ell(self, mesh: Mesh) -> float:
         if self.ell is not None:

@@ -30,7 +30,12 @@ from .errors import ConfigurationError, DomainError
 
 @dataclass(frozen=True)
 class RawCdfLaw:
-    """Stored energy psi_lam(t) = (1/lam) * integral_0^(lam t) (1 - F(s)) ds."""
+    """Stored energy psi_lam(t) = (1/lam) * integral_0^(lam t) (1 - F(s)) ds.
+
+    F is the half-line CDF of the distribution (for the full-line kinds,
+    the CDF restricted to s >= 0 and renormalized), so the stiffness
+    factor 1 - F(lam t) is the slope of the stored energy.
+    """
 
     dist: DistributionSpec
     lam: float = 1.0
@@ -44,9 +49,7 @@ def stored_density(law, phi):
     """Stored energy density at base energy phi; vectorized over phi."""
     if isinstance(law, DamageLaw):
         return psi(law, phi)
-    if np.isscalar(phi):
-        return survival_integral(law.dist, law.lam * phi) / law.lam
-    return np.array([survival_integral(law.dist, law.lam * float(p)) for p in np.ravel(phi)]).reshape(np.shape(phi)) / law.lam
+    return survival_integral(law.dist, law.lam * phi) / law.lam
 
 
 def stiffness_factor(law, phi: float) -> float:

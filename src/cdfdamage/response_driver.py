@@ -17,8 +17,10 @@ from scipy import integrate
 from .damage_laws import (
     DamageLaw,
     _golden_peak,
+    check_peak_domain,
     damage,
     degradation,
+    kink,
     peak_state_dimensionless,
 )
 from .errors import DomainError
@@ -52,20 +54,14 @@ def drive_path(law: DamageLaw, k: float, strains) -> list[PathRecord]:
     """
     if not k > 0.0:
         raise DomainError("modulus k must be positive")
-    records: list[PathRecord] = []
-    eta = 0.0
-    d_prev = 0.0
-    diss = 0.0
-    for eps in np.asarray(strains, dtype=float):
-        phi_p = 0.5 * k * max(eps, 0.0) ** 2
-        eta = max(eta, phi_p)
-        g = degradation(law, eta)
-        d = 1.0 - g
-        sigma = g * k * eps if eps >= 0.0 else k * eps
-        diss += (d - d_prev) * phi_p
-        d_prev = d
-        records.append(PathRecord(float(eps), phi_p, eta, sigma, d, diss))
-    return records
+    eps = np.asarray(strains, dtype=float).ravel()
+    phi_p = 0.5 * k * np.maximum(eps, 0.0) ** 2
+    eta = np.maximum.accumulate(phi_p)
+    g = degradation(law, eta)
+    d = 1.0 - g
+    sigma = np.where(eps >= 0.0, g * k * eps, k * eps)
+    diss = np.cumsum((d - np.concatenate([[0.0], d[:-1]])) * phi_p)
+    return [PathRecord(*map(float, row)) for row in zip(eps, phi_p, eta, sigma, d, diss)]
 
 
 def peak_response(law: DamageLaw, k: float) -> PeakResponse:
@@ -82,8 +78,7 @@ def peak_response(law: DamageLaw, k: float) -> PeakResponse:
         u, g = state
         eps = math.sqrt(2.0 * u * law.Gl / k)
         return PeakResponse(eps, g * k * eps, 1.0 - g)
-    if law.kind == "chisquare" and law.n < 2.0:
-        raise DomainError("chi-square peak response defined for n >= 2 only")
+    check_peak_domain(law.kind, law.n)
     eps, sig = _golden_peak(law, k)
     return PeakResponse(eps, sig, float(damage(law, 0.5 * k * eps * eps)))
 
@@ -103,16 +98,13 @@ def dissipated_envelope(law: DamageLaw, k: float) -> float:
         eps = scale * t / (1.0 - t)
         return degradation(law, 0.5 * k * eps * eps) * k * eps * scale / (1.0 - t) ** 2
 
-    pts = []
-    n = law.n
-    if law.kind == "power":
-        cut = math.sqrt(2.0 * (n + 1.0) * law.Gl / (n * k))
-        pts.append(cut / (cut + scale))
-    elif law.kind == "piecewise":
-        knee = math.sqrt(2.0 * law.Gl / ((n + 1.0) * k))
-        pts.append(knee / (knee + scale))
+    phi_kink = kink(law)
+    pts = None
+    if phi_kink is not None:
+        cut = math.sqrt(2.0 * phi_kink / k)
+        pts = [cut / (cut + scale)]
     val, _ = integrate.quad(
-        integrand, 0.0, 1.0, points=pts or None, limit=400, epsabs=1e-13, epsrel=1e-9
+        integrand, 0.0, 1.0, points=pts, limit=400, epsabs=1e-13, epsrel=1e-9
     )
     return val
 

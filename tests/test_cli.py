@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from cdfdamage import cli
 from cdfdamage.cli import main
 
 
@@ -160,6 +164,27 @@ def test_sent_missing_config(tmp_path, capsys):
     assert "missing.cfg" in err
 
 
+def test_sent_unknown_law_fails_before_mesh(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "sent.cfg"
+    cfgfile.write_text("[mesh]\nlevel = smoke\n")
+
+    def no_mesh(level):
+        raise AssertionError("mesh built before the configuration was validated")
+
+    monkeypatch.setattr(cli, "build_sent_mesh", no_mesh)
+    code, _, err = run_cli(capsys, "sent", "--config", str(cfgfile), "--law", "nosuch",
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "nosuch" in err
+
+
+def test_import_loads_neither_mpmath_nor_special():
+    code = "import sys, cdfdamage.cli; print('mpmath' in sys.modules, 'cdfdamage.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
 def test_sent_smoke_run(tmp_path, capsys):
     cfgfile = tmp_path / "sent.cfg"
     cfgfile.write_text(
@@ -198,7 +223,7 @@ max_staggered_iters = 200
     assert manifest["config"]["resolved"]["mesh_level"] == "smoke"
     # identical configuration reproduces byte-identical outputs
     rerun = tmp_path / "sent2"
-    code, *_ = run_cli(capsys, "--threads", "1", "sent", "--config", str(cfgfile), "--out", str(rerun))
+    code, *_ = run_cli(capsys, "sent", "--config", str(cfgfile), "--out", str(rerun))
     assert code == 0
     assert (out_dir / "load_displacement.csv").read_bytes() == (rerun / "load_displacement.csv").read_bytes()
     for vtk in vtks:

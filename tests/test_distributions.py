@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from cdfdamage import damage_laws as dl
 from cdfdamage import distributions as dist
+from cdfdamage.damage_laws import DamageLaw
 from cdfdamage.distributions import DistributionSpec
 from cdfdamage.errors import ConfigurationError, DivergenceError, NoClosedFormError
 
@@ -234,16 +237,73 @@ def test_uniform_degeneration_as_shape_vanishes():
 # survival integral and saturation search
 # ---------------------------------------------------------------------------
 
-def test_survival_integral_closed_forms():
-    e = DistributionSpec("exponential", 2.0)
-    assert dist.survival_integral(e, 1.0) == pytest.approx((1 - math.exp(-2.0)) / 2.0, rel=1e-12)
-    p = DistributionSpec("power", 1.0)
-    assert dist.survival_integral(p, 0.5) == pytest.approx(0.5 - 0.125, rel=1e-12)
-    assert dist.survival_integral(p, 3.0) == pytest.approx(0.5, rel=1e-12)
+_SURVIVAL_SPECS = [
+    DistributionSpec("exponential", 2.0),
+    DistributionSpec("cauchy", 2.0),
+    DistributionSpec("logistic"),
+    DistributionSpec("halfnormal"),
+    DistributionSpec("chisquare", 1.0),
+    DistributionSpec("chisquare", 3.0),
+    DistributionSpec("gudermannian"),
+    DistributionSpec("rapiddecay"),
+    DistributionSpec("radical", 0.5),
+    DistributionSpec("hypergeometric", 0.5),
+    DistributionSpec("rational", 0.5),
+    DistributionSpec("rational", 2.0),
+    DistributionSpec("power", 1.0),
+    DistributionSpec("power", 2.0),
+] + [DistributionSpec("piecewise", n) for n in (0.5, 1.0, 2.0)]
+
+# exact values of S(y): (spec, y, S)
+_SURVIVAL_VALUES = [
+    (DistributionSpec("exponential", 2.0), 1.0, (1 - math.exp(-2.0)) / 2.0),
+    (DistributionSpec("power", 1.0), 0.5, 0.5 - 0.125),
+    (DistributionSpec("power", 1.0), 3.0, 0.5),
+    # the half-line logistic CDF is tanh(x/2): S(y) = y - 2 ln cosh(y/2)
+    (DistributionSpec("logistic"), 3.0, 3.0 - 2.0 * math.log(math.cosh(1.5))),
+]
+
+
+@pytest.mark.parametrize("spec", _SURVIVAL_SPECS, ids=lambda s: f"{s.kind}-{s.param}")
+def test_survival_integral_closed_forms(spec):
+    # S(y) against quadrature of 1 - F on the half line
+    kink = _kink(spec)
+    for y in np.geomspace(1e-2, 1e2, 9):
+        want, _ = integrate.quad(lambda s: 1.0 - dist.cdf_halfline(spec, s), 0.0, y,
+                                 points=[kink] if kink is not None and kink < y else None,
+                                 epsabs=1e-15, epsrel=1e-13, limit=400)
+        assert dist.survival_integral(spec, float(y)) == pytest.approx(want, rel=1e-10), y
+    for s, y, want in _SURVIVAL_VALUES:
+        if s == spec:
+            assert dist.survival_integral(spec, y) == pytest.approx(want, rel=1e-12)
     # S(inf) equals the first moment where it exists
-    r = DistributionSpec("radical", 0.5)
-    m1 = dist.moment_closed(r, 1.0).value
-    assert dist.survival_integral(r, 1e8) == pytest.approx(m1, rel=1e-3)
+    if spec == DistributionSpec("radical", 0.5):
+        m1 = dist.moment_closed(spec, 1.0).value
+        assert dist.survival_integral(spec, 1e8) == pytest.approx(m1, rel=1e-3)
+
+    # 0-d, 1-d and 2-d input give the element-wise scalar results in the
+    # input's shape; to round-off only, since numpy's power loop can round
+    # differently with the array length
+    law = DamageLaw(spec.kind, n=spec.param if spec.kind not in ("exponential", "cauchy") else None)
+    grid = np.array([[0.0, 0.03, 0.7], [1.3, 4.0, 30.0]])
+    for fn, arg in ((dist.cdf, spec), (dist.pdf, spec), (dist.survival_integral, spec),
+                    (dl.psi, law), (dl.degradation, law)):
+        scalar = np.array([[fn(arg, float(v)) for v in row] for row in grid])
+        assert all(type(fn(arg, float(v))) is float for v in grid.ravel())
+        assert np.shape(fn(arg, grid)) == grid.shape
+        np.testing.assert_allclose(fn(arg, grid), scalar, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(fn(arg, grid[1]), scalar[1], rtol=1e-15, atol=0.0)
+        zero_d = fn(arg, np.array(grid[1, 1]))
+        assert np.shape(zero_d) == ()
+        np.testing.assert_allclose(zero_d, scalar[1, 1], rtol=1e-15, atol=0.0)
+
+
+def _kink(spec):
+    if spec.kind == "piecewise":
+        return 1.0 / (spec.param + 1.0)
+    if spec.kind == "power":
+        return 1.0
+    return None
 
 
 def test_saturation_point():

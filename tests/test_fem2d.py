@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ def test_config_validation():
         SimulationConfig(ell=-1.0)
     with pytest.raises(ConfigurationError):
         SimulationConfig(Gc=0.0)
+    # law kind and n follow the DamageLaw rule, and replace() re-validates
+    for bad in (dict(law_kind="nosuch"), dict(law_kind="radical"),
+                dict(law_kind="exponential", law_n=1.0), dict(nu=0.5), dict(nu=-1.0),
+                dict(stop_reaction_fraction=1.0), dict(stop_reaction_fraction=-0.1),
+                dict(max_halvings=-1)):
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(**bad)
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(SimulationConfig(), law_kind="nosuch")
     cfg = SimulationConfig(ell_factor=None, ell=None)
     with pytest.raises(ConfigurationError):
         cfg.resolve_ell(build_sent_mesh("smoke"))

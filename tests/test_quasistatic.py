@@ -221,6 +221,18 @@ def test_balance_second_order_in_step_size():
     assert 3.5 <= r2 <= 4.5
 
 
+@pytest.mark.parametrize("spec", [DistributionSpec("logistic"), DistributionSpec("cauchy", 1.0)],
+                         ids=("logistic", "cauchy"))
+def test_balance_rawcdf_full_line(spec):
+    # stored energy and reaction must use the same (half-line) CDF, so the
+    # reaction is the slope of the energy on a crack-free ramp
+    prob = qs.BarProblem(3, 1.0, qs.RawCdfLaw(spec), 1e6, ((0.0, 0.0), (1.0, 1.2)))
+    traj = qs.solve(prob, qs.uniform_times(1.0, 50))
+    assert not traj.states[-1].open_jumps
+    cert = qs.certify_energy_balance(traj, prob)
+    assert cert.passed, cert.residual / cert.characteristic_energy
+
+
 def test_balance_with_cracking():
     law = DamageLaw("exponential", G=1.0, ell=1.0)
     prob = qs.BarProblem(4, 1.0, law, 0.05, ((0.0, 0.0), (1.0, 1.0)))
