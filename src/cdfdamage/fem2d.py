@@ -12,6 +12,13 @@ re-split the strains to update the tensile driving energy and history,
 repeat to a fixed-point of the nodal solution. The history variable is
 committed only when a step is accepted; rejected steps are retried with
 halved increments.
+
+There is one assembly path, shared by the damaged solver and the undamaged
+Dirichlet solve: `_stiffness_blocks` forms the per-Gauss-point Q4 blocks
+B^T D B detJ w and the element dof map, `_assemble` sums the blocks scaled
+by one weight per Gauss point (the degradation factor, or 1) into a CSR
+matrix, and `_solve_dirichlet` lifts the prescribed values and solves the
+free rows.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .continuum import Elasticity, elasticity_tensor
@@ -102,71 +110,52 @@ def build_sent_mesh(level: str = "coarse") -> Mesh:
     ys_high = 1.0 - _graded_down(0.5 - b, delta, ratio, max_size)[:-1][::-1]
     ys = np.concatenate([ys_low, ys_band, ys_high])
 
+    # grid node (i, j) is node i * ny + j; element (i, j) is element i * (ny - 1) + j
     nx, ny = len(xs), len(ys)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i * ny + j
-
     j0 = int(np.argmin(np.abs(ys - 0.5)))
     assert abs(ys[j0] - 0.5) < 1e-12
     i_tip = int(np.argmin(np.abs(xs - 0.5)))
     assert abs(xs[i_tip] - 0.5) < 1e-12
 
-    # duplicate seam nodes strictly left of the tip
-    dup_map = {}
-    extra = []
-    for i in range(i_tip):
-        orig = nid(i, j0)
-        dup_map[orig] = nodes.shape[0] + len(extra)
-        extra.append(nodes[orig])
-    nodes = np.vstack([nodes, np.array(extra)]) if extra else nodes
+    # seam nodes strictly left of the tip get a copy, numbered after the grid
+    seam = np.arange(i_tip) * ny + j0
+    copies = nx * ny + np.arange(i_tip)
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    nodes = np.vstack([nodes, nodes[seam]])
 
-    elems = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            n00, n10, n11, n01 = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
-            if j == j0:  # element sits on top of the seam line
-                n00 = dup_map.get(n00, n00)
-                n10 = dup_map.get(n10, n10)
-            elems.append((n00, n10, n11, n01))
-    elems = np.array(elems, dtype=np.int64)
+    I, J = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    elems = (I * ny + J).reshape(-1, 1) + np.array([0, ny, ny + 1, 1])  # CCW from (i, j)
+    # the row of elements just above the seam takes the copies as its lower corners
+    remap = np.arange(nx * ny)
+    remap[seam] = copies
+    elems[j0::ny - 1, :2] = remap[elems[j0::ny - 1, :2]]
 
-    bottom = np.array([nid(i, 0) for i in range(nx)], dtype=np.int64)
-    top = np.array([nid(i, ny - 1) for i in range(nx)], dtype=np.int64)
-    seam_pairs = np.array([[orig, dup] for orig, dup in sorted(dup_map.items())], dtype=np.int64)
-    return Mesh(nodes, elems, bottom, top, seam_pairs, nid(i_tip, j0), delta)
+    bottom = np.arange(nx) * ny
+    return Mesh(nodes, elems, bottom, bottom + ny - 1, np.column_stack([seam, copies]),
+                i_tip * ny + j0, delta)
 
 
 def element_jacobians(mesh: Mesh) -> np.ndarray:
     """det J at every Gauss point, shape (ne, 4); all must be positive."""
-    _, _, detjw = _precompute_bmats(mesh)
-    return detjw / _GAUSS_W
+    return _precompute_bmats(mesh)[1]
 
 
 # ---------------------------------------------------------------------------
 # Q4 machinery
 # ---------------------------------------------------------------------------
 
-_GP = 1.0 / math.sqrt(3.0)
-_GAUSS_PTS = [(-_GP, -_GP), (_GP, -_GP), (_GP, _GP), (-_GP, _GP)]
-_GAUSS_W = 1.0
+_CORNERS = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])  # (xi, eta) of the Q4 nodes, CCW
+_GAUSS_PTS = _CORNERS / math.sqrt(3.0)  # 2x2 Gauss rule, unit weights
 
 
 def _q4_dshape(xi, eta):
-    return 0.25 * np.array(
-        [
-            [-(1 - eta), -(1 - xi)],
-            [+(1 - eta), -(1 + xi)],
-            [+(1 + eta), +(1 + xi)],
-            [-(1 + eta), +(1 - xi)],
-        ]
-    )
+    """dN_a/d(xi, eta) of the bilinear shape functions, shape (4, 2)."""
+    return 0.25 * _CORNERS * (1 + _CORNERS[:, ::-1] * [eta, xi])
 
 
 def _precompute_bmats(mesh: Mesh):
-    """B matrices (ne, 4, 3, 8) and detJ*w (ne, 4) for 2x2 Gauss quadrature."""
+    """B matrices (ne, 4, 3, 8) and detJ*w = detJ (ne, 4) for 2x2 Gauss quadrature."""
     ne = mesh.n_elems
     coords = mesh.nodes[mesh.elems]  # (ne, 4, 2)
     B = np.zeros((ne, 4, 3, 8))
@@ -186,8 +175,39 @@ def _precompute_bmats(mesh: Mesh):
         B[:, gp, 1, 1::2] = dNdx[:, :, 1]
         B[:, gp, 2, 0::2] = dNdx[:, :, 1]
         B[:, gp, 2, 1::2] = dNdx[:, :, 0]
-        detjw[:, gp] = detJ * _GAUSS_W
-    return B, coords, detjw
+        detjw[:, gp] = detJ
+    return B, detjw
+
+
+def _stiffness_blocks(mesh: Mesh, elast: Elasticity):
+    """B matrices (ne, 4, 3, 8), per-Gauss-point stiffness blocks
+    B^T D B detJ w (ne, 4, 8, 8) and the element dof map (ne, 8)."""
+    B, detjw = _precompute_bmats(mesh)
+    if np.any(detjw <= 0.0):
+        raise ConfigurationError("mesh has non-positive Jacobians")
+    DB = np.einsum("ij,egjk->egik", elasticity_tensor(elast), B)
+    K0 = np.einsum("egji,egjk->egik", B, DB) * detjw[:, :, None, None]
+    dofs = np.empty((mesh.n_elems, 8), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.elems
+    dofs[:, 1::2] = 2 * mesh.elems + 1
+    return B, K0, dofs
+
+
+def _assemble(K0: np.ndarray, dofs: np.ndarray, weights: np.ndarray, ndof: int) -> sp.csr_matrix:
+    """Global stiffness: the sum of the blocks K0, each scaled by its Gauss-point weight."""
+    data = np.einsum("eg,egik->eik", weights, K0).ravel()
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+def _solve_dirichlet(K: sp.csr_matrix, fixed: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Complete u, which holds the prescribed values on the boolean mask `fixed`,
+    by solving the free rows of K u = 0; returns u."""
+    free = np.flatnonzero(~fixed)
+    rhs = -K[:, fixed] @ u[fixed]
+    u[free] = spla.spsolve(K[free][:, free].tocsc(), rhs[free])
+    return u
 
 
 def tensile_energy_density(strains: np.ndarray, elast: Elasticity) -> np.ndarray:
@@ -230,8 +250,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_law_kind(self.law_kind, self.law_n)
-        if not (-1.0 < self.nu < 0.5):
-            raise ConfigurationError(f"nu must lie in (-1, 0.5), got {self.nu}")
+        Elasticity(self.E, self.nu, "plane_strain")  # raises on E <= 0 or nu outside (-1, 0.5)
         if not (self.Gc > 0.0):
             raise ConfigurationError("Gc must be positive")
         if self.ell is not None and not self.ell > 0.0:
@@ -245,8 +264,10 @@ class SimulationConfig:
         if not (0.0 <= self.stop_reaction_fraction < 1.0):
             raise ConfigurationError(
                 f"stop_reaction_fraction must lie in [0, 1), got {self.stop_reaction_fraction}")
-        if self.max_halvings < 0:
-            raise ConfigurationError(f"max_halvings must be >= 0, got {self.max_halvings}")
+        for name in ("max_halvings", "u_switch", "stiffness_floor", "field_every"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
     def resolve_ell(self, mesh: Mesh) -> float:
         if self.ell is not None:
@@ -266,7 +287,6 @@ class LoadStepResult:
     reaction: float
     max_damage: float
     iterations: int
-    converged: bool
 
 
 @dataclass
@@ -276,7 +296,6 @@ class SentResult:
     external_work: list
     snapshots: list = field(default_factory=list)  # (step, nodal damage, nodal disp)
     mesh: Mesh | None = None
-    gp_eta: np.ndarray | None = None
     gp_damage: np.ndarray | None = None
 
     @property
@@ -296,78 +315,51 @@ class SentSolver:
         self.config = config
         self.elast = Elasticity(config.E, config.nu, "plane_strain")
         self.law = config.law(mesh)
-        self.D = elasticity_tensor(self.elast)
-        self.B, _, self.detjw = _precompute_bmats(mesh)
-        if np.any(self.detjw <= 0.0):
-            raise ConfigurationError("mesh has non-positive Jacobians")
-        # per-gauss-point elastic stiffness blocks B^T D B detJ w
-        DB = np.einsum("ij,egjk->egik", self.D, self.B)
-        self.K0 = np.einsum("egji,egjk->egik", self.B, DB) * self.detjw[:, :, None, None]
-        dofs = np.empty((mesh.n_elems, 8), dtype=np.int64)
-        dofs[:, 0::2] = 2 * mesh.elems
-        dofs[:, 1::2] = 2 * mesh.elems + 1
-        self.edofs = dofs
-        self.rows = np.repeat(dofs, 8, axis=1).ravel()
-        self.cols = np.tile(dofs, (1, 8)).ravel()
+        self.B, self.K0, self.edofs = _stiffness_blocks(mesh, self.elast)
         self.ndof = 2 * mesh.n_nodes
-
-        fixed = np.zeros(self.ndof, dtype=bool)
-        fixed[2 * mesh.bottom_nodes] = True
-        fixed[2 * mesh.bottom_nodes + 1] = True
-        fixed[2 * mesh.top_nodes + 1] = True
-        self.fixed_mask = fixed
-        self.free = np.flatnonzero(~fixed)
         self.top_uy = 2 * mesh.top_nodes + 1
+        self.fixed = np.zeros(self.ndof, dtype=bool)
+        self.fixed[2 * mesh.bottom_nodes] = True
+        self.fixed[2 * mesh.bottom_nodes + 1] = True
+        self.fixed[self.top_uy] = True
+
+        # node-by-element matrix taking the mean over the elements at each node
+        corners = mesh.elems.ravel()
+        count = np.bincount(corners, minlength=mesh.n_nodes)
+        self.averaging = sp.csr_matrix(
+            (1.0 / count[corners], (corners, np.repeat(np.arange(mesh.n_elems), 4))),
+            shape=(mesh.n_nodes, mesh.n_elems))
 
         self.eta = np.zeros((mesh.n_elems, 4))
         self.u = np.zeros(self.ndof)
-
-    # -- assembly and linear solve --------------------------------------
-
-    def _assemble(self, gvals: np.ndarray) -> sp.csr_matrix:
-        data = np.einsum("eg,egik->eik", gvals, self.K0).ravel()
-        K = sp.coo_matrix((data, (self.rows, self.cols)), shape=(self.ndof, self.ndof))
-        return K.tocsr()
-
-    def _solve_linear(self, K: sp.csr_matrix, u_top: float) -> np.ndarray:
-        u = np.zeros(self.ndof)
-        u[self.top_uy] = u_top
-        rhs = -K[:, self.fixed_mask] @ u[self.fixed_mask]
-        Kff = K[self.free][:, self.free]
-        u[self.free] = spla.spsolve(Kff.tocsc(), rhs[self.free])
-        return u
-
-    def _gp_strains(self, u: np.ndarray) -> np.ndarray:
-        ue = u[self.edofs]  # (ne, 8)
-        return np.einsum("egij,ej->egi", self.B, ue)
 
     # -- one load step ----------------------------------------------------
 
     def solve_step(self, u_top: float):
         """Staggered iteration at fixed top displacement.
 
-        Returns (u, eta_trial, reaction, iterations); raises
-        NonConvergenceError when the fixed point is not reached.
+        Returns (u, eta_trial, reaction, iterations, K), K being the stiffness
+        of the last iteration; raises NonConvergenceError when the fixed
+        point is not reached.
         """
         cfg = self.config
         eta_trial = self.eta.copy()
         u_prev = self.u
-        iterations = 0
         for it in range(1, cfg.max_staggered_iters + 1):
-            iterations = it
             g = np.maximum(law_degradation(self.law, eta_trial), cfg.stiffness_floor)
-            K = self._assemble(g)
-            u = self._solve_linear(K, u_top)
-            strains = self._gp_strains(u)
+            K = _assemble(self.K0, self.edofs, g, self.ndof)
+            u = np.zeros(self.ndof)
+            u[self.top_uy] = u_top
+            u = _solve_dirichlet(K, self.fixed, u)
+            strains = np.einsum("egij,ej->egi", self.B, u[self.edofs])
             phi_p = tensile_energy_density(strains, self.elast)
             eta_trial = np.maximum(self.eta, phi_p)
             du = np.linalg.norm(u - u_prev)
             ref = max(np.linalg.norm(u), 1e-30)
             u_prev = u
             if du <= cfg.staggered_tol * ref:
-                f_int = K @ u
-                reaction = float(np.sum(f_int[self.top_uy]))
-                return u, eta_trial, reaction, iterations, K
+                reaction = float(np.sum((K @ u)[self.top_uy]))
+                return u, eta_trial, reaction, it, K
         raise NonConvergenceError(
             f"staggered loop not converged after {cfg.max_staggered_iters} iterations at u_top={u_top}"
         )
@@ -376,7 +368,6 @@ class SentSolver:
 
     def run(self) -> SentResult:
         cfg = self.config
-        mesh = self.mesh
         switch = cfg.u_switch if cfg.u_switch is not None else 0.8 * cfg.u_max
         targets = []
         u = 0.0
@@ -385,7 +376,7 @@ class SentSolver:
             u = min(u + du, cfg.u_max)
             targets.append(u)
 
-        result = SentResult(steps=[], stored_energy=[0.0], external_work=[0.0], mesh=mesh)
+        result = SentResult(steps=[], stored_energy=[0.0], external_work=[0.0], mesh=self.mesh)
         step_no = 0
         u_prev = 0.0
         r_prev = 0.0
@@ -413,7 +404,7 @@ class SentSolver:
             step_no += 1
             dmg = law_damage(self.law, eta_new)
             result.steps.append(
-                LoadStepResult(step_no, target, reaction, float(dmg.max()), iters, True)
+                LoadStepResult(step_no, target, reaction, float(dmg.max()), iters)
             )
             work += 0.5 * (r_prev + reaction) * (target - u_prev)
             result.external_work.append(work)
@@ -430,21 +421,13 @@ class SentSolver:
             ):
                 break
         result.snapshots.append((step_no, *self.nodal_fields()))
-        result.gp_eta = self.eta.copy()
         result.gp_damage = np.asarray(law_damage(self.law, self.eta))
         return result
 
     def nodal_fields(self):
         """Element-averaged damage projected to nodes, and nodal displacement."""
         dmg_e = np.asarray(law_damage(self.law, self.eta)).mean(axis=1)
-        acc = np.zeros(self.mesh.n_nodes)
-        cnt = np.zeros(self.mesh.n_nodes)
-        for corner in range(4):
-            np.add.at(acc, self.mesh.elems[:, corner], dmg_e)
-            np.add.at(cnt, self.mesh.elems[:, corner], 1.0)
-        nodal_damage = acc / np.maximum(cnt, 1.0)
-        disp = self.u.reshape(-1, 2)
-        return nodal_damage, disp
+        return self.averaging @ dmg_e, self.u.reshape(-1, 2)
 
 
 def run_sent(config: SimulationConfig, mesh: Mesh | None = None, level: str = "coarse") -> SentResult:
@@ -456,25 +439,15 @@ def run_sent(config: SimulationConfig, mesh: Mesh | None = None, level: str = "c
 
 def solve_elastic_dirichlet(mesh: Mesh, elast: Elasticity, fixed_dofs, fixed_vals) -> np.ndarray:
     """Undamaged linear solve with arbitrary Dirichlet data (patch tests, oracles)."""
-    D = elasticity_tensor(elast)
-    B, _, detjw = _precompute_bmats(mesh)
-    DB = np.einsum("ij,egjk->egik", D, B)
-    K0 = np.einsum("egji,egjk->egik", B, DB) * detjw[:, :, None, None]
-    dofs = np.empty((mesh.n_elems, 8), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.elems
-    dofs[:, 1::2] = 2 * mesh.elems + 1
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
+    _, K0, dofs = _stiffness_blocks(mesh, elast)
     ndof = 2 * mesh.n_nodes
-    K = sp.coo_matrix((K0.sum(axis=1).ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    K = _assemble(K0, dofs, np.ones(K0.shape[:2]), ndof)
+    fixed_dofs = np.asarray(fixed_dofs, dtype=int)
     fixed = np.zeros(ndof, dtype=bool)
-    fixed[np.asarray(fixed_dofs, dtype=int)] = True
+    fixed[fixed_dofs] = True
     u = np.zeros(ndof)
-    u[np.asarray(fixed_dofs, dtype=int)] = fixed_vals
-    free = np.flatnonzero(~fixed)
-    rhs = -K[:, fixed] @ u[fixed]
-    u[free] = spla.spsolve(K[free][:, free].tocsc(), rhs[free])
-    return u
+    u[fixed_dofs] = fixed_vals
+    return _solve_dirichlet(K, fixed, u)
 
 
 # ---------------------------------------------------------------------------
@@ -483,39 +456,26 @@ def solve_elastic_dirichlet(mesh: Mesh, elast: Elasticity, fixed_dofs, fixed_val
 
 def damaged_band_connected(mesh: Mesh, gp_damage: np.ndarray, threshold: float = 0.9) -> bool:
     """True when elements with max Gauss damage >= threshold form a connected
-    band from the notch tip to the far (x = 1) edge."""
+    band from the notch tip to the far (x = 1) edge.
+
+    Hot elements are adjacent when they share an edge, so elements meeting
+    at a corner, or across the notch seam's duplicated nodes, are not. The
+    band starts from the hot elements at the tip node, or, when there are
+    none, from the hot element whose centroid is nearest the tip.
+    """
     hot = np.flatnonzero(gp_damage.max(axis=1) >= threshold)
     if hot.size == 0:
         return False
-    edge_map = {}
-    for e in hot:
-        conn = mesh.elems[e]
-        for a in range(4):
-            key = tuple(sorted((int(conn[a]), int(conn[(a + 1) % 4]))))
-            edge_map.setdefault(key, []).append(int(e))
-    adj = {int(e): set() for e in hot}
-    for elems in edge_map.values():
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                adj[elems[i]].add(elems[j])
-                adj[elems[j]].add(elems[i])
-    tip = mesh.notch_tip
-    xmax = mesh.nodes[:, 0].max()
-    seeds = [int(e) for e in hot if tip in mesh.elems[e]]
-    if not seeds:
-        # fall back to hot elements nearest the tip column
-        tx = mesh.nodes[tip]
-        d = [float(np.linalg.norm(mesh.nodes[mesh.elems[e]].mean(axis=0) - tx)) for e in hot]
-        seeds = [int(hot[int(np.argmin(d))])]
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        e = stack.pop()
-        for nb in adj[e]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    for e in seen:
-        if np.any(np.abs(mesh.nodes[mesh.elems[e], 0] - xmax) < 1e-12):
-            return True
-    return False
+    conn = mesh.elems[hot]
+    edges = np.sort(np.stack([conn, np.roll(conn, -1, axis=1)], axis=2), axis=2).reshape(-1, 2)
+    _, edge_id = np.unique(edges, axis=0, return_inverse=True)
+    incidence = sp.csr_matrix(
+        (np.ones(edges.shape[0]), (np.repeat(np.arange(hot.size), 4), edge_id.ravel())))
+    _, label = csgraph.connected_components(incidence @ incidence.T, directed=False)
+
+    tip = mesh.nodes[mesh.notch_tip]
+    seeds = np.flatnonzero(np.any(conn == mesh.notch_tip, axis=1))
+    if seeds.size == 0:
+        seeds = np.argmin(np.linalg.norm(mesh.nodes[conn].mean(axis=1) - tip, axis=1))
+    band = conn[np.isin(label, label[seeds])]
+    return bool(np.any(np.abs(mesh.nodes[band, 0] - mesh.nodes[:, 0].max()) < 1e-12))

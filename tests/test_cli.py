@@ -178,6 +178,19 @@ def test_sent_unknown_law_fails_before_mesh(tmp_path, capsys, monkeypatch):
     assert "nosuch" in err
 
 
+def test_sent_bad_modulus_fails_before_mesh(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "sent.cfg"
+    cfgfile.write_text("[material]\ne = -1\n\n[mesh]\nlevel = smoke\n")
+
+    def no_mesh(level):
+        raise AssertionError("mesh built before the configuration was validated")
+
+    monkeypatch.setattr(cli, "build_sent_mesh", no_mesh)
+    code, _, err = run_cli(capsys, "sent", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "E must be positive" in err
+
+
 def test_import_loads_neither_mpmath_nor_special():
     code = "import sys, cdfdamage.cli; print('mpmath' in sys.modules, 'cdfdamage.special' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ def test_seam_topology():
     assert m.notch_tip not in set(m.seam_pairs.ravel().tolist())
 
 
+# sha256 of nodes, elems, bottom_nodes, top_nodes, seam_pairs and notch_tip
+# as built by the element-by-element construction this mesh replaced
+MESH_DIGESTS = {
+    "smoke": "c30e4803922b112dfd6c77fb00ccc8705fb51bb4f5af3bd9272d16b8732810f5",
+    "coarse": "e1fa9180afb486fdcd705080ee20424ed8eb40f63ee5a9977ee234adeb75c144",
+    "refined": "729521a59aafa587facabd9aced58aae45fd33556e1baa8c31df655729d13607",
+}
+
+
+@pytest.mark.parametrize("level", sorted(MESH_DIGESTS))
+def test_sent_mesh_arrays_pinned(level):
+    m = build_sent_mesh(level)
+    h = hashlib.sha256()
+    for a, dtype in ((m.nodes, np.float64), (m.elems, np.int64), (m.bottom_nodes, np.int64),
+                     (m.top_nodes, np.int64), (m.seam_pairs, np.int64),
+                     (np.array([m.notch_tip]), np.int64)):
+        assert a.dtype == dtype
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == MESH_DIGESTS[level]
+
+
 def test_mesh_level_validation():
     with pytest.raises(ConfigurationError):
         build_sent_mesh("gigantic")
@@ -91,7 +113,8 @@ def test_config_validation():
     for bad in (dict(law_kind="nosuch"), dict(law_kind="radical"),
                 dict(law_kind="exponential", law_n=1.0), dict(nu=0.5), dict(nu=-1.0),
                 dict(stop_reaction_fraction=1.0), dict(stop_reaction_fraction=-0.1),
-                dict(max_halvings=-1)):
+                dict(max_halvings=-1), dict(E=0.0), dict(E=-1.0), dict(stiffness_floor=-1e-8),
+                dict(field_every=-1), dict(u_switch=-1e-3)):
         with pytest.raises(ConfigurationError):
             SimulationConfig(**bad)
     with pytest.raises(ConfigurationError):
@@ -142,7 +165,7 @@ def test_small_load_matches_undamaged_oracle():
     fixed = np.concatenate([2 * m.bottom_nodes, 2 * m.bottom_nodes + 1, 2 * m.top_nodes + 1])
     vals = np.concatenate([np.zeros(2 * len(m.bottom_nodes)), np.full(len(m.top_nodes), 1e-5)])
     u_ref = solve_elastic_dirichlet(m, el, fixed, vals)
-    K = solver._assemble(np.ones((m.n_elems, 4)))
+    K = fem2d._assemble(solver.K0, solver.edofs, np.ones((m.n_elems, 4)), solver.ndof)
     r_ref = float(np.sum((K @ u_ref)[2 * m.top_nodes + 1]))
     assert reaction == pytest.approx(r_ref, rel=1e-3)
 
@@ -226,6 +249,122 @@ def test_band_connectivity_helper():
     assert damaged_band_connected(m, gp)
     gp[row[2], :] = 0.0  # break the band
     assert not damaged_band_connected(m, gp)
+
+
+def _sent_cells(m):
+    """Grid sizes (nx, ny), notch row j0, tip column i_tip and the element id
+    of cell (i, j) of the SENT mesh, whose elements run column by column."""
+    xs, ys = np.unique(m.nodes[:, 0]), np.unique(m.nodes[:, 1])
+    nx, ny = xs.size, ys.size
+    i_tip, j0 = int(np.searchsorted(xs, 0.5)), int(np.searchsorted(ys, 0.5))
+
+    def cell(i, j):
+        e = i * (ny - 1) + j
+        centre = m.nodes[m.elems[e]].mean(axis=0)
+        assert xs[i] < centre[0] < xs[i + 1] and ys[j] < centre[1] < ys[j + 1]
+        return e
+
+    return nx, ny, j0, i_tip, cell
+
+
+def test_band_not_connected_across_notch_seam():
+    # hot cells: the row above the notch from the tip leftwards, the row below
+    # it short of the tip, and a path from there down and across to x = 1;
+    # the two rows meet only along the seam, whose nodes are duplicated
+    m = build_sent_mesh("smoke")
+    nx, ny, j0, i_tip, cell = _sent_cells(m)
+    hot = [cell(i, j0) for i in range(i_tip)]
+    hot += [cell(i, j0 - 1) for i in range(i_tip - 1)]
+    hot += [cell(0, j) for j in range(1, j0 - 1)]
+    hot += [cell(i, 1) for i in range(nx - 1)]
+    gp = np.zeros((m.n_elems, 4))
+    gp[hot] = 0.95
+    assert not damaged_band_connected(m, gp)
+    gp[cell(i_tip - 1, j0 - 1)] = 0.95  # the cell below the tip closes the path
+    assert damaged_band_connected(m, gp)
+
+
+def test_band_corner_contact_is_not_adjacent():
+    m = grid_mesh(4, 4)  # notch_tip is node 0 at (0, 0)
+    gp = np.zeros((m.n_elems, 4))
+    gp[[i * 4 + i for i in range(4)], 0] = 0.95  # diagonal cells touch at corners only
+    assert not damaged_band_connected(m, gp)
+    gp[[i * 4 + i - 1 for i in range(1, 4)], 0] = 0.95  # a staircase shares edges
+    assert damaged_band_connected(m, gp)
+
+
+def test_band_fallback_seed_is_nearest_hot_element():
+    # no hot element holds the tip node (0, 0): the walk starts from the hot
+    # element whose centroid is nearest to it, and only from that one
+    m = grid_mesh(4, 4)
+    gp = np.zeros((m.n_elems, 4))
+    gp[[i * 4 + 3 for i in range(4)]] = 0.95  # top row, reaches x = 1
+    gp[1] = 0.95  # cell (0, 1), nearer the tip, isolated
+    assert not damaged_band_connected(m, gp)
+    gp[1] = 0.0
+    assert damaged_band_connected(m, gp)
+
+
+def _band_connected_reference(mesh, gp_damage, threshold=0.9):
+    """The dict-and-stack flood fill over shared element edges."""
+    hot = np.flatnonzero(gp_damage.max(axis=1) >= threshold)
+    if hot.size == 0:
+        return False
+    edge_map = {}
+    for e in hot:
+        conn = mesh.elems[e]
+        for a in range(4):
+            key = tuple(sorted((int(conn[a]), int(conn[(a + 1) % 4]))))
+            edge_map.setdefault(key, []).append(int(e))
+    adj = {int(e): set() for e in hot}
+    for elems in edge_map.values():
+        for a in elems:
+            adj[a].update(b for b in elems if b != a)
+    tip = mesh.notch_tip
+    seeds = [int(e) for e in hot if tip in mesh.elems[e]]
+    if not seeds:
+        d = [np.linalg.norm(mesh.nodes[mesh.elems[e]].mean(axis=0) - mesh.nodes[tip]) for e in hot]
+        seeds = [int(hot[int(np.argmin(d))])]
+    seen, stack = set(seeds), list(seeds)
+    while stack:
+        for nb in adj[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    xmax = mesh.nodes[:, 0].max()
+    return any(np.any(np.abs(mesh.nodes[mesh.elems[e], 0] - xmax) < 1e-12) for e in seen)
+
+
+def test_band_connectivity_matches_reference_on_random_bands():
+    m = build_sent_mesh("smoke")
+    centre = m.nodes[m.elems].mean(axis=1)
+    rng = np.random.default_rng(7)
+    outcomes = []
+    for _ in range(150):
+        slope, width = rng.uniform(-0.3, 0.3), rng.uniform(0.005, 0.05)
+        line = 0.5 + slope * (centre[:, 0] - 0.5)
+        gp = np.exp(-((centre[:, 1] - line) / width) ** 2)[:, None] * rng.uniform(0.8, 1.1, (m.n_elems, 4))
+        gp[centre[:, 0] < 0.5 - rng.uniform(0.0, 0.1)] = 0.0
+        want = _band_connected_reference(m, gp)
+        assert damaged_band_connected(m, gp) == want
+        outcomes.append(want)
+    assert 10 < sum(outcomes) < len(outcomes) - 10
+
+
+def test_nodal_fields_average_element_damage():
+    m = build_sent_mesh("smoke")
+    solver = SentSolver(m, SimulationConfig(law_kind="exponential"))
+    rng = np.random.default_rng(3)
+    solver.eta = rng.uniform(0.0, 3.0 * solver.law.G / solver.law.ell, (m.n_elems, 4))
+    solver.u = rng.standard_normal(solver.u.size)
+    nodal, disp = solver.nodal_fields()
+    dmg_e = np.asarray(fem2d.law_damage(solver.law, solver.eta)).mean(axis=1)
+    acc, cnt = np.zeros(m.n_nodes), np.zeros(m.n_nodes)
+    for corner in range(4):
+        np.add.at(acc, m.elems[:, corner], dmg_e)
+        np.add.at(cnt, m.elems[:, corner], 1.0)
+    assert cnt.min() >= 1.0
+    np.testing.assert_allclose(nodal, acc / cnt, rtol=1e-15, atol=0.0)
+    assert np.array_equal(disp, solver.u.reshape(-1, 2))
 
 
 def test_nonconvergence_reports_diagnostic():
