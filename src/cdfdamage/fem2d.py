@@ -13,12 +13,18 @@ repeat to a fixed-point of the nodal solution. The history variable is
 committed only when a step is accepted; rejected steps are retried with
 halved increments.
 
-There is one assembly path, shared by the damaged solver and the undamaged
-Dirichlet solve: `_stiffness_blocks` forms the per-Gauss-point Q4 blocks
-B^T D B detJ w and the element dof map, `_assemble` sums the blocks scaled
-by one weight per Gauss point (the degradation factor, or 1) into a CSR
-matrix, and `_solve_dirichlet` lifts the prescribed values and solves the
-free rows.
+There is one assembly and solve path, shared by the damaged solver and the
+undamaged Dirichlet solve. `_stiffness_blocks` forms the per-Gauss-point Q4
+blocks B^T D B detJ w and the element dof map. A `ReducedSystem`, built
+once per mesh and set of fixed dofs, holds the CSC pattern of the free-free
+block and, for every element-matrix entry, the slot it adds to; each solve
+scales the blocks by one weight per Gauss point (the degradation factor, or
+1), scatters them into that pattern with one `bincount`, lifts the
+prescribed values the same way, and factors with SuperLU in symmetric mode
+under a minimum-degree ordering of A^T + A. No global stiffness is built:
+the reaction and the stored energy come from element forces. A singular
+reduced stiffness (a rigid motion left free) raises instead of returning a
+meaningless displacement.
 """
 
 from __future__ import annotations
@@ -193,21 +199,73 @@ def _stiffness_blocks(mesh: Mesh, elast: Elasticity):
     return B, K0, dofs
 
 
-def _assemble(K0: np.ndarray, dofs: np.ndarray, weights: np.ndarray, ndof: int) -> sp.csr_matrix:
-    """Global stiffness: the sum of the blocks K0, each scaled by its Gauss-point weight."""
-    data = np.einsum("eg,egik->eik", weights, K0).ravel()
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsr()
+class ReducedSystem:
+    """The free-free block of sum_g w_g K0_g and its Dirichlet lift, for one
+    element dof map and one set of fixed dofs.
 
+    Built once: the CSC pattern of the free-free block, the flat index of
+    every free-free element-matrix entry and the CSC slot it adds to, and the
+    same index for the free-row, fixed-column entries of the lift. `solve`
+    then assembles by one scatter-add per iteration, with no global matrix,
+    and factors with SuperLU in symmetric mode under the minimum-degree
+    ordering of A^T + A (the reduced stiffness is symmetric positive
+    definite). A factor whose smallest U pivot is below n eps times its
+    largest raises `np.linalg.LinAlgError`: the fixed dofs leave a rigid
+    motion, or the weights a disconnected part, free.
+    """
 
-def _solve_dirichlet(K: sp.csr_matrix, fixed: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Complete u, which holds the prescribed values on the boolean mask `fixed`,
-    by solving the free rows of K u = 0; returns u."""
-    free = np.flatnonzero(~fixed)
-    rhs = -K[:, fixed] @ u[fixed]
-    u[free] = spla.spsolve(K[free][:, free].tocsc(), rhs[free])
-    return u
+    def __init__(self, K0: np.ndarray, dofs: np.ndarray, fixed: np.ndarray):
+        self.K0, self.dofs = K0, dofs
+        self.free = np.flatnonzero(~fixed)
+        n = self.n = self.free.size
+        free_index = np.full(fixed.size, -1)
+        free_index[self.free] = np.arange(n)
+        # element-matrix entry (e, i, j) sits at flat index 64 e + 8 i + j
+        rows = free_index[np.repeat(dofs, 8, axis=1).ravel()]
+        cols_global = np.tile(dofs, (1, 8)).ravel()
+        cols = free_index[cols_global]
+        self.ff_idx = np.flatnonzero((rows >= 0) & (cols >= 0))
+        # CSC order: by column, then by row
+        keys, self.slot = np.unique(cols[self.ff_idx] * n + rows[self.ff_idx], return_inverse=True)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self.lift_idx = np.flatnonzero((rows >= 0) & (cols < 0))
+        self.lift_row, self.lift_col = rows[self.lift_idx], cols_global[self.lift_idx]
+        self.Ke = np.empty((dofs.shape[0], 8, 8))  # element matrices of the last assembly
+        self._ff_vals = np.empty(self.ff_idx.size)
+
+    def matrix(self, weights: np.ndarray) -> sp.csc_matrix:
+        """Element matrices sum_g w_g K0_g, scattered into the free-free block."""
+        np.einsum("eg,egik->eik", weights, self.K0, out=self.Ke)
+        np.take(self.Ke.ravel(), self.ff_idx, out=self._ff_vals)
+        data = np.bincount(self.slot, weights=self._ff_vals, minlength=self.indices.size)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """-K[free, fixed] @ u[fixed] for the last assembly's element matrices."""
+        vals = self.Ke.ravel()[self.lift_idx] * u[self.lift_col]
+        return -np.bincount(self.lift_row, weights=vals, minlength=self.n)
+
+    def solve(self, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Complete u, which holds the prescribed values on the fixed dofs, by
+        solving the free rows of K u = 0; returns u."""
+        try:
+            lu = spla.splu(self.matrix(weights), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise np.linalg.LinAlgError(f"reduced stiffness is singular ({exc})") from None
+        pivots = np.abs(lu.U.diagonal())
+        if pivots.size and not pivots.min() > self.n * np.finfo(float).eps * pivots.max():
+            raise np.linalg.LinAlgError(
+                f"reduced stiffness is singular: smallest pivot {pivots.min():.3g}, "
+                f"largest {pivots.max():.3g}")
+        u[self.free] = lu.solve(self.lift(u))
+        return u
+
+    def element_forces(self, u: np.ndarray) -> np.ndarray:
+        """Ke u_e of the last assembly, shape (ne, 8)."""
+        return np.einsum("eij,ej->ei", self.Ke, u[self.dofs])
 
 
 def tensile_energy_density(strains: np.ndarray, elast: Elasticity) -> np.ndarray:
@@ -315,13 +373,15 @@ class SentSolver:
         self.config = config
         self.elast = Elasticity(config.E, config.nu, "plane_strain")
         self.law = config.law(mesh)
-        self.B, self.K0, self.edofs = _stiffness_blocks(mesh, self.elast)
+        self.B, K0, self.edofs = _stiffness_blocks(mesh, self.elast)
         self.ndof = 2 * mesh.n_nodes
         self.top_uy = 2 * mesh.top_nodes + 1
-        self.fixed = np.zeros(self.ndof, dtype=bool)
-        self.fixed[2 * mesh.bottom_nodes] = True
-        self.fixed[2 * mesh.bottom_nodes + 1] = True
-        self.fixed[self.top_uy] = True
+        fixed = np.zeros(self.ndof, dtype=bool)
+        fixed[2 * mesh.bottom_nodes] = True
+        fixed[2 * mesh.bottom_nodes + 1] = True
+        fixed[self.top_uy] = True
+        self.system = ReducedSystem(K0, self.edofs, fixed)
+        self.top_mask = np.isin(self.edofs, self.top_uy)  # element entries summed into the reaction
 
         # node-by-element matrix taking the mean over the elements at each node
         corners = mesh.elems.ravel()
@@ -338,19 +398,22 @@ class SentSolver:
     def solve_step(self, u_top: float):
         """Staggered iteration at fixed top displacement.
 
-        Returns (u, eta_trial, reaction, iterations, K), K being the stiffness
-        of the last iteration; raises NonConvergenceError when the fixed
-        point is not reached.
+        Returns (u, eta_trial, reaction, iterations, stored_energy), the
+        reaction and the stored energy 1/2 u^T K u taken from the element
+        forces of the last iteration's stiffness K; raises NonConvergenceError
+        when the fixed point is not reached or K is singular.
         """
         cfg = self.config
         eta_trial = self.eta.copy()
         u_prev = self.u
         for it in range(1, cfg.max_staggered_iters + 1):
             g = np.maximum(law_degradation(self.law, eta_trial), cfg.stiffness_floor)
-            K = _assemble(self.K0, self.edofs, g, self.ndof)
             u = np.zeros(self.ndof)
             u[self.top_uy] = u_top
-            u = _solve_dirichlet(K, self.fixed, u)
+            try:
+                self.system.solve(g, u)
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergenceError(f"u_top={u_top}, staggered iteration {it}: {exc}") from None
             strains = np.einsum("egij,ej->egi", self.B, u[self.edofs])
             phi_p = tensile_energy_density(strains, self.elast)
             eta_trial = np.maximum(self.eta, phi_p)
@@ -358,8 +421,9 @@ class SentSolver:
             ref = max(np.linalg.norm(u), 1e-30)
             u_prev = u
             if du <= cfg.staggered_tol * ref:
-                reaction = float(np.sum((K @ u)[self.top_uy]))
-                return u, eta_trial, reaction, it, K
+                forces = self.system.element_forces(u)
+                reaction = float(forces[self.top_mask].sum())
+                return u, eta_trial, reaction, it, 0.5 * float(np.vdot(forces, u[self.edofs]))
         raise NonConvergenceError(
             f"staggered loop not converged after {cfg.max_staggered_iters} iterations at u_top={u_top}"
         )
@@ -388,14 +452,14 @@ class SentSolver:
             halvings = 0
             while True:
                 try:
-                    u_vec, eta_new, reaction, iters, K = self.solve_step(target)
+                    u_vec, eta_new, reaction, iters, energy = self.solve_step(target)
                     break
-                except NonConvergenceError:
+                except NonConvergenceError as exc:
                     halvings += 1
                     if halvings > cfg.max_halvings:
                         raise NonConvergenceError(
-                            f"step to u_top={target} rejected after {cfg.max_halvings} halvings"
-                        )
+                            f"step to u_top={target} rejected after {cfg.max_halvings} halvings ({exc})"
+                        ) from None
                     pending.append(target)
                     target = 0.5 * (u_prev + target)
             # commit
@@ -408,7 +472,7 @@ class SentSolver:
             )
             work += 0.5 * (r_prev + reaction) * (target - u_prev)
             result.external_work.append(work)
-            result.stored_energy.append(0.5 * float(self.u @ (K @ self.u)))
+            result.stored_energy.append(energy)
             if cfg.field_every and step_no % cfg.field_every == 0:
                 result.snapshots.append((step_no, *self.nodal_fields()))
             peak_seen = max(peak_seen, reaction)
@@ -441,13 +505,15 @@ def solve_elastic_dirichlet(mesh: Mesh, elast: Elasticity, fixed_dofs, fixed_val
     """Undamaged linear solve with arbitrary Dirichlet data (patch tests, oracles)."""
     _, K0, dofs = _stiffness_blocks(mesh, elast)
     ndof = 2 * mesh.n_nodes
-    K = _assemble(K0, dofs, np.ones(K0.shape[:2]), ndof)
     fixed_dofs = np.asarray(fixed_dofs, dtype=int)
     fixed = np.zeros(ndof, dtype=bool)
     fixed[fixed_dofs] = True
     u = np.zeros(ndof)
     u[fixed_dofs] = fixed_vals
-    return _solve_dirichlet(K, fixed, u)
+    try:
+        return ReducedSystem(K0, dofs, fixed).solve(np.ones(K0.shape[:2]), u)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError(f"the fixed dofs leave a rigid motion free: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

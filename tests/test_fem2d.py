@@ -3,10 +3,11 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cdfdamage import fem2d
 from cdfdamage.continuum import Elasticity
-from cdfdamage.errors import ConfigurationError
+from cdfdamage.errors import ConfigurationError, NonConvergenceError
 from cdfdamage.fem2d import (
     Mesh,
     SentSolver,
@@ -165,9 +166,89 @@ def test_small_load_matches_undamaged_oracle():
     fixed = np.concatenate([2 * m.bottom_nodes, 2 * m.bottom_nodes + 1, 2 * m.top_nodes + 1])
     vals = np.concatenate([np.zeros(2 * len(m.bottom_nodes)), np.full(len(m.top_nodes), 1e-5)])
     u_ref = solve_elastic_dirichlet(m, el, fixed, vals)
-    K = fem2d._assemble(solver.K0, solver.edofs, np.ones((m.n_elems, 4)), solver.ndof)
+    _, K0, dofs = fem2d._stiffness_blocks(m, el)
+    K = _global_stiffness(K0, dofs, np.ones((m.n_elems, 4)))
     r_ref = float(np.sum((K @ u_ref)[2 * m.top_nodes + 1]))
     assert reaction == pytest.approx(r_ref, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the reduced system against the global stiffness
+# ---------------------------------------------------------------------------
+
+def _global_stiffness(K0, dofs, weights):
+    """sum_g w_g K0_g assembled into a global CSR matrix through COO."""
+    ndof = int(dofs.max()) + 1
+    data = np.einsum("eg,egik->eik", weights, K0).ravel()
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+def _sent_system():
+    m = build_sent_mesh("smoke")
+    solver = SentSolver(m, SimulationConfig())
+    u = np.zeros(solver.ndof)
+    u[solver.top_uy] = 1e-3
+    return m, solver.system, u, solver.top_mask, solver.top_uy
+
+
+def _grid_system():
+    # arbitrary fixed dofs and values, enough to remove the rigid motions
+    m = grid_mesh(5, 4)
+    rng = np.random.default_rng(11)
+    ndof = 2 * m.n_nodes
+    fixed = rng.random(ndof) < 0.3
+    fixed[[0, 1, 2 * m.top_nodes[-1]]] = True
+    u = np.where(fixed, rng.standard_normal(ndof), 0.0)
+    _, K0, dofs = fem2d._stiffness_blocks(m, Elasticity(210.0, 0.3))
+    top_uy = 2 * m.top_nodes + 1
+    return m, fem2d.ReducedSystem(K0, dofs, fixed), u, np.isin(dofs, top_uy), top_uy
+
+
+@pytest.mark.parametrize("make", [_sent_system, _grid_system], ids=["smoke", "grid"])
+def test_reduced_system_matches_global_matrix(make):
+    m, system, u, top_mask, top_uy = make()
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(1e-3, 1.0, (m.n_elems, 4))
+    K = _global_stiffness(system.K0, system.dofs, weights)
+    free = system.free
+    fixed = np.setdiff1d(np.arange(K.shape[0]), free)
+
+    A = system.matrix(weights)
+    Kff = K[free][:, free]
+    assert A.shape == Kff.shape and A.nnz == Kff.nnz
+    assert abs(A - Kff).max() <= 1e-14 * abs(Kff).max()
+
+    lift_ref = -(K[:, fixed] @ u[fixed])[free]
+    np.testing.assert_allclose(system.lift(u), lift_ref, rtol=1e-14, atol=1e-14 * abs(lift_ref).max())
+
+    v = rng.standard_normal(K.shape[0])
+    forces = system.element_forces(v)
+    assert forces[top_mask].sum() == pytest.approx((K @ v)[top_uy].sum(), rel=1e-12)
+    assert np.vdot(forces, v[system.dofs]) == pytest.approx(v @ (K @ v), rel=1e-12)
+
+    sol = system.solve(weights, u.copy())
+    assert np.array_equal(sol[fixed], u[fixed])
+    assert abs((K @ sol)[free]).max() <= 1e-10 * abs(K @ sol).max()
+
+
+def test_singular_reduced_stiffness_raises():
+    # only the bottom uy fixed: the horizontal translation is free
+    m = grid_mesh(3, 3)
+    with pytest.raises(ConfigurationError, match="rigid motion"):
+        solve_elastic_dirichlet(m, Elasticity(210.0, 0.3), 2 * m.bottom_nodes + 1, 0.0)
+
+
+def test_singular_stiffness_in_sent_step_names_the_iteration():
+    # a fully broken row of elements across the plate, with no stiffness
+    # floor, leaves the part above it free to slide horizontally
+    m = build_sent_mesh("smoke")
+    nx, ny, j0, i_tip, cell = _sent_cells(m)
+    solver = SentSolver(m, SimulationConfig(stiffness_floor=0.0))
+    solver.eta[[cell(i, 1) for i in range(nx - 1)]] = 1e300
+    with pytest.raises(NonConvergenceError, match=r"u_top=0\.001, staggered iteration 1: .*singular"):
+        solver.solve_step(1e-3)
 
 
 def test_damage_disabled_is_linear():
@@ -208,7 +289,7 @@ def test_eta_monotone_and_energy_bookkeeping():
     eta_prev = solver.eta.copy()
     # drive manually so we can watch eta after every accepted step
     for target in np.arange(2e-4, 4.2e-3, 2e-4):
-        u, eta, reaction, iters, K = solver.solve_step(float(target))
+        u, eta, reaction, iters, energy = solver.solve_step(float(target))
         solver.u, solver.eta = u, eta
         assert np.all(eta >= eta_prev - 1e-18)
         eta_prev = eta.copy()
@@ -372,8 +453,6 @@ def test_nonconvergence_reports_diagnostic():
     cfg = SimulationConfig(law_kind="exponential", ell_factor=1.0462, u_max=7e-3,
                            du_coarse=7e-3, max_staggered_iters=2, max_halvings=1,
                            stop_reaction_fraction=0.0)
-    from cdfdamage.errors import NonConvergenceError
-
     with pytest.raises(NonConvergenceError):
         run_sent(cfg, mesh=m)
 
