@@ -81,7 +81,8 @@ def _ensure_outdir(path: str, force: bool) -> Path:
     return out
 
 
-def _write_manifest(out: Path, subcommand: str, config: dict, seed, t0: float):
+def _write_manifest(out: Path, subcommand: str, config: dict, seed, t0: float,
+                    totals: dict | None = None):
     def jsonable(v):
         if isinstance(v, (list, tuple)):
             return [jsonable(x) for x in v]
@@ -95,6 +96,8 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed, t0: float):
         "tool_version": __version__,
         "duration_s": time.time() - t0,
     }
+    if totals is not None:
+        manifest["totals"] = totals
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
@@ -292,6 +295,12 @@ def _sent_config(ini: configparser.ConfigParser) -> tuple[SimulationConfig, str]
     def fget(sec, key, default):
         return float(sec[key]) if key in sec else default
 
+    def iget(sec, key, default):
+        value = fget(sec, key, default)
+        if not float(value).is_integer():
+            raise ConfigurationError(f"{key} must be an integer, got {sec[key]}")
+        return int(value)
+
     cfg = SimulationConfig(
         E=fget(mat, "e", 210.0),
         nu=fget(mat, "nu", 0.3),
@@ -307,10 +316,10 @@ def _sent_config(ini: configparser.ConfigParser) -> tuple[SimulationConfig, str]
         u_switch=float(loading["u_switch"]) if "u_switch" in loading else None,
         stop_reaction_fraction=fget(loading, "stop_reaction_fraction", 0.15),
         staggered_tol=fget(solver, "staggered_tol", 1.0e-6),
-        max_staggered_iters=int(fget(solver, "max_staggered_iters", 50)),
-        max_halvings=int(fget(solver, "max_halvings", 10)),
+        max_staggered_iters=iget(solver, "max_staggered_iters", 50),
+        max_halvings=iget(solver, "max_halvings", 10),
         stiffness_floor=fget(solver, "stiffness_floor", 1.0e-8),
-        field_every=int(fget(output, "field_every", 0)),
+        field_every=iget(output, "field_every", 0),
     )
     level = ini.get("mesh", "level", fallback="coarse")
     return cfg, level
@@ -350,7 +359,13 @@ def _cmd_sent(args) -> int:
         "ell": cfg.resolve_ell(mesh),
         "elements": int(mesh.n_elems),
     }
-    _write_manifest(out, "sent", cfg_dict, None, t0)
+    _write_manifest(out, "sent", cfg_dict, None, t0, totals={
+        "staggered_iterations": result.staggered_iterations,
+        "factorizations": result.factorizations,
+        "cg_iterations": result.cg_iterations,
+        "stored_energy": result.stored_energy[-1],
+        "external_work": result.external_work[-1],
+    })
     print(
         f"peak reaction {result.peak_reaction:.6g} kN over {len(result.steps)} steps; "
         f"final max damage {result.steps[-1].max_damage:.4f}"

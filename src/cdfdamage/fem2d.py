@@ -19,12 +19,19 @@ blocks B^T D B detJ w and the element dof map. A `ReducedSystem`, built
 once per mesh and set of fixed dofs, holds the CSC pattern of the free-free
 block and, for every element-matrix entry, the slot it adds to; each solve
 scales the blocks by one weight per Gauss point (the degradation factor, or
-1), scatters them into that pattern with one `bincount`, lifts the
-prescribed values the same way, and factors with SuperLU in symmetric mode
-under a minimum-degree ordering of A^T + A. No global stiffness is built:
-the reaction and the stored energy come from element forces. A singular
-reduced stiffness (a rigid motion left free) raises instead of returning a
-meaningless displacement.
+1), scatters them into that pattern with one `bincount` and lifts the
+prescribed values the same way. No global stiffness is built: the reaction
+and the stored energy come from element forces.
+
+Between two staggered iterations the weights change only in the process
+zone, so the plan keeps the last SuperLU factor (symmetric mode, minimum-
+degree ordering of A^T + A) and solves with conjugate gradients
+preconditioned by it; it factors afresh only when CG does not reach the
+residual bound within a few iterations, or when a weight is (numerically)
+zero. A factor that passed the pivot check proves A(w) symmetric positive
+definite for every positive weight field w, which is what CG needs. A
+singular reduced stiffness (a rigid motion left free) raises instead of
+returning a meaningless displacement.
 """
 
 from __future__ import annotations
@@ -199,19 +206,44 @@ def _stiffness_blocks(mesh: Mesh, elast: Elasticity):
     return B, K0, dofs
 
 
+# Bounds of the CG solve on a kept factor (`ReducedSystem.solve`), measured on
+# the coarse SENT curve of tests/test_sent_reference.py (743 solves, one
+# thread). A residual bound of 1e-12 |b| keeps every step's iteration count
+# and the curve within 3e-11 of the reference; 1e-10 lets max damage drift by
+# 2.3e-9, past the 1e-9 gate, and 1e-13 costs about 20% more time. A cap of 25
+# iterations refactors 15 times, at about 13 CG iterations per solve, and ran
+# 15.0-16.8 s; a cap of 15 refactored 45 times (14.7 s, a wash), and 40
+# refactored 6 times but ran 18.8 s.
+CG_RTOL = 1e-12
+CG_MAXITER = 25
+
+
 class ReducedSystem:
-    """The free-free block of sum_g w_g K0_g and its Dirichlet lift, for one
-    element dof map and one set of fixed dofs.
+    """The free-free block A(w) of sum_g w_g K0_g and its Dirichlet lift, for
+    one element dof map and one set of fixed dofs.
 
     Built once: the CSC pattern of the free-free block, the flat index of
     every free-free element-matrix entry and the CSC slot it adds to, and the
     same index for the free-row, fixed-column entries of the lift. `solve`
-    then assembles by one scatter-add per iteration, with no global matrix,
-    and factors with SuperLU in symmetric mode under the minimum-degree
-    ordering of A^T + A (the reduced stiffness is symmetric positive
-    definite). A factor whose smallest U pivot is below n eps times its
+    then assembles by one scatter-add per call, with no global matrix.
+
+    A fresh factor is SuperLU in symmetric mode under the minimum-degree
+    ordering of A^T + A. One whose smallest U pivot is below n eps times its
     largest raises `np.linalg.LinAlgError`: the fixed dofs leave a rigid
-    motion, or the weights a disconnected part, free.
+    motion, or the weights a disconnected part, free. The last factor that
+    passed this check is kept. While every weight is positive, a later call
+    solves A(w) x = b by CG preconditioned by that factor, started from its
+    own solution of the system, and keeps the answer when CG stops within
+    CG_MAXITER iterations and the explicitly computed residual is at most
+    CG_RTOL |b|; otherwise it releases the old factor and factors afresh.
+    The CG path needs no pivot check: with A(w0) the matrix of the kept
+    factor, A(w) >= (min w / max w0) A(w0) in the Loewner order, so a
+    positive weight field gives a symmetric positive definite A(w). A zero
+    weight (a stiffness floor of 0), or one at most n eps times the largest
+    (zero to the precision of the pivot check, as a saturated law gives
+    without a floor), always takes the fresh factor, so CG never hides a
+    singular matrix. `solves`, `factorizations` and `cg_iterations` count
+    the work since the plan was built.
     """
 
     def __init__(self, K0: np.ndarray, dofs: np.ndarray, fixed: np.ndarray):
@@ -234,6 +266,8 @@ class ReducedSystem:
         self.lift_row, self.lift_col = rows[self.lift_idx], cols_global[self.lift_idx]
         self.Ke = np.empty((dofs.shape[0], 8, 8))  # element matrices of the last assembly
         self._ff_vals = np.empty(self.ff_idx.size)
+        self._lu = None  # the last factor that passed the pivot check
+        self.solves = self.factorizations = self.cg_iterations = 0
 
     def matrix(self, weights: np.ndarray) -> sp.csc_matrix:
         """Element matrices sum_g w_g K0_g, scattered into the free-free block."""
@@ -250,8 +284,40 @@ class ReducedSystem:
     def solve(self, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Complete u, which holds the prescribed values on the fixed dofs, by
         solving the free rows of K u = 0; returns u."""
+        self.solves += 1
+        A = self.matrix(weights)
+        b = self.lift(u)
+        positive = weights.min() > self.n * np.finfo(float).eps * weights.max()
+        x = self._solve_on_kept_factor(A, b) if self._lu is not None and positive else None
+        if x is None:
+            self._lu = None  # release the old factor before SuperLU allocates the new one
+            self._lu = self._factor(A)
+            x = self._lu.solve(b)
+        u[self.free] = x
+        return u
+
+    def _solve_on_kept_factor(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
+        """CG on A x = b preconditioned by the kept factor; None when it does
+        not meet the iteration cap and the residual bound."""
+        lu = self._lu
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = spla.cg(A, b, x0=lu.solve(b), rtol=CG_RTOL, maxiter=CG_MAXITER,
+                          M=spla.LinearOperator(A.shape, matvec=lu.solve), callback=count)
+        self.cg_iterations += iterations
+        if info == 0 and np.linalg.norm(b - A @ x) <= CG_RTOL * np.linalg.norm(b):
+            return x
+        return None
+
+    def _factor(self, A: sp.csc_matrix):
+        """Symmetric-mode SuperLU factor of A, checked for a singular pivot."""
+        self.factorizations += 1
         try:
-            lu = spla.splu(self.matrix(weights), permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise np.linalg.LinAlgError(f"reduced stiffness is singular ({exc})") from None
@@ -260,8 +326,7 @@ class ReducedSystem:
             raise np.linalg.LinAlgError(
                 f"reduced stiffness is singular: smallest pivot {pivots.min():.3g}, "
                 f"largest {pivots.max():.3g}")
-        u[self.free] = lu.solve(self.lift(u))
-        return u
+        return lu
 
     def element_forces(self, u: np.ndarray) -> np.ndarray:
         """Ke u_e of the last assembly, shape (ne, 8)."""
@@ -355,6 +420,11 @@ class SentResult:
     snapshots: list = field(default_factory=list)  # (step, nodal damage, nodal disp)
     mesh: Mesh | None = None
     gp_damage: np.ndarray | None = None
+    # run totals, rejected attempts included: linear solves (one per staggered
+    # iteration), fresh factorizations, and CG iterations on a kept factor
+    staggered_iterations: int = 0
+    factorizations: int = 0
+    cg_iterations: int = 0
 
     @property
     def peak_reaction(self) -> float:
@@ -441,6 +511,7 @@ class SentSolver:
             targets.append(u)
 
         result = SentResult(steps=[], stored_energy=[0.0], external_work=[0.0], mesh=self.mesh)
+        counts0 = self._solver_counts()
         step_no = 0
         u_prev = 0.0
         r_prev = 0.0
@@ -486,7 +557,13 @@ class SentSolver:
                 break
         result.snapshots.append((step_no, *self.nodal_fields()))
         result.gp_damage = np.asarray(law_damage(self.law, self.eta))
+        result.staggered_iterations, result.factorizations, result.cg_iterations = (
+            int(c) for c in self._solver_counts() - counts0)
         return result
+
+    def _solver_counts(self) -> np.ndarray:
+        s = self.system
+        return np.array([s.solves, s.factorizations, s.cg_iterations])
 
     def nodal_fields(self):
         """Element-averaged damage projected to nodes, and nodal displacement."""

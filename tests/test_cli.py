@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -191,6 +192,33 @@ def test_sent_bad_modulus_fails_before_mesh(tmp_path, capsys, monkeypatch):
     assert "E must be positive" in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "max_halvings", "2.9"),
+    ("output", "field_every", "1.5"),
+    ("solver", "max_staggered_iters", "50.5"),
+    ("solver", "max_halvings", "inf"),
+])
+def test_sent_non_integral_setting_fails_before_mesh(tmp_path, capsys, monkeypatch, section, key, value):
+    cfgfile = tmp_path / "sent.cfg"
+    cfgfile.write_text(f"[{section}]\n{key} = {value}\n\n[mesh]\nlevel = smoke\n")
+
+    def no_mesh(level):
+        raise AssertionError("mesh built before the configuration was validated")
+
+    monkeypatch.setattr(cli, "build_sent_mesh", no_mesh)
+    code, _, err = run_cli(capsys, "sent", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"{key} must be an integer" in err
+
+
+def test_sent_integral_settings_accept_float_spelling():
+    ini = configparser.ConfigParser()
+    ini.read_string("[solver]\nmax_staggered_iters = 1e3\nmax_halvings = 2.0\n[output]\nfield_every = 5\n")
+    cfg, _ = cli._sent_config(ini)
+    assert (cfg.max_staggered_iters, cfg.max_halvings, cfg.field_every) == (1000, 2, 5)
+    assert all(type(v) is int for v in (cfg.max_staggered_iters, cfg.max_halvings, cfg.field_every))
+
+
 def test_import_loads_neither_mpmath_nor_special():
     code = "import sys, cdfdamage.cli; print('mpmath' in sys.modules, 'cdfdamage.special' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -234,6 +262,11 @@ max_staggered_iters = 200
     assert vtks, "final field snapshot missing"
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["resolved"]["mesh_level"] == "smoke"
+    totals = manifest["totals"]
+    assert totals["staggered_iterations"] == int(data["iterations"].sum())
+    assert 1 <= totals["factorizations"] < totals["staggered_iterations"]
+    assert totals["cg_iterations"] > 0
+    assert 0.0 < totals["stored_energy"] <= totals["external_work"]
     # identical configuration reproduces byte-identical outputs
     rerun = tmp_path / "sent2"
     code, *_ = run_cli(capsys, "sent", "--config", str(cfgfile), "--out", str(rerun))

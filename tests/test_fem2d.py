@@ -4,9 +4,11 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cdfdamage import fem2d
 from cdfdamage.continuum import Elasticity
+from cdfdamage.damage_laws import degradation as law_degradation
 from cdfdamage.errors import ConfigurationError, NonConvergenceError
 from cdfdamage.fem2d import (
     Mesh,
@@ -249,6 +251,74 @@ def test_singular_stiffness_in_sent_step_names_the_iteration():
     solver.eta[[cell(i, 1) for i in range(nx - 1)]] = 1e300
     with pytest.raises(NonConvergenceError, match=r"u_top=0\.001, staggered iteration 1: .*singular"):
         solver.solve_step(1e-3)
+
+
+def _process_zone_weights(m, rho):
+    """Weights 1 outside a Gaussian dip to 1e-3 of radius rho at the notch tip."""
+    r = np.linalg.norm(m.nodes[m.elems].mean(axis=1) - m.nodes[m.notch_tip], axis=1)
+    return np.repeat((1.0 - (1.0 - 1e-3) * np.exp(-(r / rho) ** 2))[:, None], 4, axis=1)
+
+
+def test_kept_factor_solves_match_fresh_factor():
+    # a growing process zone, solved through one plan: the factor of the
+    # undamaged plate serves the later fields through CG
+    m, system, u, *_ = _sent_system()
+    fields = [np.ones((m.n_elems, 4))] + [_process_zone_weights(m, rho) for rho in (0.01, 0.02, 0.03, 0.05)]
+    for weights in fields:
+        x = system.solve(weights, u.copy())[system.free]
+        A, b = system.matrix(weights), system.lift(u)
+        ref = spla.splu(A).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    assert system.solves == len(fields)
+    assert system.factorizations < system.solves
+    assert system.cg_iterations > 0
+
+
+def test_weights_far_from_the_factor_refactor():
+    m, system, u, *_ = _sent_system()
+    system.solve(np.ones((m.n_elems, 4)), u.copy())
+    assert system.factorizations == 1
+    weights = np.random.default_rng(0).uniform(1e-6, 1.0, (m.n_elems, 4))
+    x = system.solve(weights, u.copy())[system.free]
+    assert system.factorizations == 2
+    A, b = system.matrix(weights), system.lift(u)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("law", [dict(law_kind="exponential"),
+                                 dict(law_kind="hypergeometric", law_n=1.0)])
+def test_broken_row_after_a_kept_factor_raises(law):
+    # the exponential law breaks the row to weight 0; the hypergeometric one
+    # saturates at 9e-309, positive but zero to the precision of the pivots
+    m = build_sent_mesh("smoke")
+    nx, ny, j0, i_tip, cell = _sent_cells(m)
+    solver = SentSolver(m, SimulationConfig(stiffness_floor=0.0, **law))
+    solver.solve_step(1e-4)
+    assert solver.system.factorizations == 1
+    broken = [cell(i, 1) for i in range(nx - 1)]
+    weights = np.ones((m.n_elems, 4))
+    weights[broken] = law_degradation(solver.law, 1e300)
+    u = np.zeros(solver.ndof)
+    u[solver.top_uy] = 1e-3
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solver.system.solve(weights, u)
+    solver.eta[broken] = 1e300
+    with pytest.raises(NonConvergenceError, match=r"u_top=0\.001, staggered iteration 1: .*singular"):
+        solver.solve_step(1e-3)
+
+
+@pytest.mark.parametrize("broken", [0.0, 1e-300])
+def test_free_node_after_a_kept_factor_raises(broken):
+    # the four elements around one node broken: the node is free, but its
+    # residual row stays 0, so CG on the kept factor would return an answer
+    m, system, u, *_ = _sent_system()
+    system.solve(np.ones((m.n_elems, 4)), u.copy())
+    weights = np.ones((m.n_elems, 4))
+    weights[np.any(m.elems == m.notch_tip + 7, axis=1)] = broken
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        system.solve(weights, u.copy())
+    assert system.factorizations == 2
 
 
 def test_damage_disabled_is_linear():
