@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -30,6 +31,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .fem2d import MESH_LEVELS, SimulationConfig, build_sent_mesh, run_sent
+from .kinds import TABLE as KIND_TABLE
 from .quasistatic import (
     BarProblem,
     RawCdfLaw,
@@ -51,6 +53,7 @@ _VALIDATION_ERRORS = (
     FileNotFoundError,
     KeyError,
     argparse.ArgumentTypeError,
+    configparser.Error,
 )
 
 
@@ -175,63 +178,109 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
-    p = Path(path)
-    if not p.exists():
+# [section] key -> what takes the value: a target, or (target, name) when the
+# name is not the key (configparser lower-cases keys). A value is a number
+# unless its key is in _TEXT_KEYS; a key left out takes the receiver's default.
+_SENT_SCHEMA = {
+    "material": {"e": ("config", "E"), "nu": "config", "gc": ("config", "Gc")},
+    "law": {"kind": ("config", "law_kind"), "n": ("config", "law_n"), "ell": "config",
+            "ell_factor": "config"},
+    "mesh": {"level": "mesh"},
+    "loading": dict.fromkeys(
+        ("u_max", "du_coarse", "du_fine", "u_switch", "stop_reaction_fraction"), "config"),
+    "solver": dict.fromkeys(
+        ("staggered_tol", "max_staggered_iters", "max_halvings", "stiffness_floor"), "config"),
+    "output": {"field_every": "config"},
+}
+_BAR_SCHEMA = {
+    "bar": dict.fromkeys(("element_count", "bar_length", "k"), "problem"),
+    "law": {"type": "law", "kind": "law", "n": "law", "g": ("damage", "G"), "ell": "damage",
+            "lam": "rawcdf"},
+    "loading": {"t_end": "loading", "g_end": "loading", "knots": "loading", "steps": "times"},
+    "evolution": {"jump_cost": "problem"},
+    "certificates": {"competitors": "stability", "stability_tol": ("stability", "tolerance"),
+                     "balance_tol": ("balance", "tolerance")},
+}
+_TEXT_KEYS = frozenset({"kind", "level", "type", "knots"})
+
+
+def _settings(ini: configparser.ConfigParser, schema: dict) -> dict:
+    """The values in `ini` grouped by what takes them, {target: {name: value}}; an unknown
+    section or key, or a number that does not parse, raises ConfigurationError."""
+    grouped = {}
+    for section in ini.sections():
+        if section not in schema:
+            raise ConfigurationError(f"unknown section [{section}]; known: {', '.join(schema)}")
+        keys = schema[section]
+        for key, raw in ini.items(section, raw=True):
+            if key not in keys:
+                raise ConfigurationError(f"unknown key [{section}] {key}; it takes {', '.join(keys)}")
+            try:
+                value = raw if key in _TEXT_KEYS else int(raw) if raw.isdigit() else float(raw)
+            except ValueError:
+                raise ConfigurationError(f"[{section}] {key} must be a number, got '{raw}'") from None
+            target, name = keys[key] if isinstance(keys[key], tuple) else (keys[key], key)
+            grouped.setdefault(target, {})[name] = value
+    return grouped
+
+
+def _with_defaults(fn, **given) -> dict:
+    """The keyword arguments `fn` runs with: `given` plus its own defaults."""
+    bound = inspect.signature(fn).bind_partial(**given)
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def _read_ini(path: str, schema: dict) -> configparser.ConfigParser:
+    """Read an INI file; refuse what `schema` does not name before anything is built."""
+    if not Path(path).exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    ini = configparser.ConfigParser()
-    ini.read(p)
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    ini.read(path)
+    _settings(ini, schema)
     return ini
 
 
-def _bar_problem(ini: configparser.ConfigParser) -> tuple[BarProblem, np.ndarray, dict]:
-    bar = ini["bar"]
-    lawsec = ini["law"]
-    loading = ini["loading"]
-    evo = ini["evolution"]
-    law_type = lawsec.get("type", "damage")
+def _bar_problem(ini: configparser.ConfigParser) -> tuple[BarProblem, np.ndarray, dict, dict]:
+    """Bar problem, time grid, and the file's arguments to the two certificates."""
+    for section, key in (("bar", "element_count"), ("law", "kind"), ("evolution", "jump_cost")):
+        if not ini.has_option(section, key):
+            raise ConfigurationError(f"[{section}] {key} is required")
+    settings = _settings(ini, _BAR_SCHEMA)
+    loading = settings.get("loading", {})
+    if ("g_end" in loading) == ("knots" in loading):
+        raise ConfigurationError("[loading] needs exactly one of g_end and knots")
+    law_type = settings["law"].pop("type", "damage")
+    if law_type not in ("damage", "rawcdf"):
+        raise ConfigurationError(f"[law] type must be 'damage' or 'rawcdf', got '{law_type}'")
+    stray = settings.get("rawcdf" if law_type == "damage" else "damage")
+    if stray:
+        raise ConfigurationError(f"[law] {', '.join(stray)} does not apply to type = {law_type}")
+    kind, n = settings["law"]["kind"], settings["law"].get("n")
     if law_type == "damage":
-        law = DamageLaw(
-            lawsec["kind"],
-            G=lawsec.getfloat("G", 1.0),
-            ell=lawsec.getfloat("ell", 1.0),
-            n=lawsec.getfloat("n") if "n" in lawsec else None,
-        )
-    elif law_type == "rawcdf":
-        law = RawCdfLaw(
-            DistributionSpec(lawsec["kind"], lawsec.getfloat("n") if "n" in lawsec else None),
-            lam=lawsec.getfloat("lam", 1.0),
-        )
+        law = DamageLaw(kind, n=n, **settings.get("damage", {}))
     else:
-        raise ConfigurationError(f"law.type must be 'damage' or 'rawcdf', got '{law_type}'")
+        law = RawCdfLaw(DistributionSpec(kind, n), **settings.get("rawcdf", {}))
     if "knots" in loading:
-        knots = tuple(
-            (float(a), float(b))
-            for a, b in (pair.split(":") for pair in loading["knots"].split(","))
-        )
+        try:
+            knots = tuple((float(t), float(g)) for t, g in
+                          (pair.split(":") for pair in loading["knots"].split(",")))
+        except ValueError:
+            raise ConfigurationError(
+                f"[loading] knots must be t:g pairs, got '{loading['knots']}'") from None
     else:
-        knots = ((0.0, 0.0), (loading.getfloat("t_end", 1.0), loading.getfloat("g_end")))
-    prob = BarProblem(
-        element_count=bar.getint("element_count"),
-        bar_length=bar.getfloat("bar_length", 1.0),
-        law=law,
-        jump_cost=evo.getfloat("jump_cost"),
-        boundary_knots=knots,
-        k=bar.getfloat("k", 1.0),
-    )
-    times = uniform_times(knots[-1][0], loading.getint("steps", 100))
-    cert = dict(
-        competitors=ini.getint("certificates", "competitors", fallback=200),
-        stability_tol=ini.getfloat("certificates", "stability_tol", fallback=1e-9),
-        balance_tol=ini.getfloat("certificates", "balance_tol", fallback=0.02),
-    )
-    return prob, times, cert
+        knots = ((0.0, 0.0), (loading.get("t_end", 1.0), loading["g_end"]))
+    prob = BarProblem(law=law, boundary_knots=knots, **({"bar_length": 1.0} | settings["problem"]))
+    times = uniform_times(knots[-1][0], **settings.get("times", {}))
+    return prob, times, settings.get("stability", {}), settings.get("balance", {})
 
 
 def _cmd_quasistatic(args) -> int:
     t0 = time.time()
-    ini = _read_ini(args.config)
-    prob, times, cert_cfg = _bar_problem(ini)
+    ini = _read_ini(args.config, _BAR_SCHEMA)
+    prob, times, stability_args, balance_args = _bar_problem(ini)
+    stability_args = _with_defaults(certify_stability, seed=args.seed, **stability_args)
+    balance_args = _with_defaults(certify_energy_balance, **balance_args)
     out = _ensure_outdir(args.out, args.force)
     traj = solve(prob, times)
     rows = []
@@ -243,11 +292,8 @@ def _cmd_quasistatic(args) -> int:
         ["t", "g", "stored_energy", "dissipation_inc", "crack_count", "reaction"],
         rows,
     )
-    stab = certify_stability(
-        traj, prob, competitors=cert_cfg["competitors"], seed=args.seed,
-        tolerance=cert_cfg["stability_tol"],
-    )
-    bal = certify_energy_balance(traj, prob, tolerance=cert_cfg["balance_tol"])
+    stab = certify_stability(traj, prob, **stability_args)
+    bal = certify_energy_balance(traj, prob, **balance_args)
     with open(out / "certificates.txt", "w") as f:
         f.write("stability: worst margin = {:.6e}  tolerance = {:.1e}  {}\n".format(
             stab.worst_margin, stab.tolerance, "PASS" if stab.passed else "FAIL"))
@@ -260,6 +306,8 @@ def _cmd_quasistatic(args) -> int:
         f.write(f"external work     = {bal.work_total:.6e}\n")
         f.write(f"final crack count = {len(traj.states[-1].open_jumps)}\n")
     cfg_dict = {sec: dict(ini[sec]) for sec in ini.sections()}
+    cfg_dict["resolved"] = {"problem": dataclasses.asdict(prob), "steps": len(times) - 1,
+                            "stability": stability_args, "balance": balance_args}
     _write_manifest(out, "quasistatic", cfg_dict, args.seed, t0)
     print(f"stability {'PASS' if stab.passed else 'FAIL'}; balance {'PASS' if bal.passed else 'FAIL'}")
     return 0 if (stab.passed and bal.passed) else 2
@@ -286,53 +334,21 @@ def _cmd_gamma(args) -> int:
 
 
 def _sent_config(ini: configparser.ConfigParser) -> tuple[SimulationConfig, str]:
-    mat = ini["material"] if "material" in ini else {}
-    lawsec = ini["law"] if "law" in ini else {}
-    loading = ini["loading"] if "loading" in ini else {}
-    solver = ini["solver"] if "solver" in ini else {}
-    output = ini["output"] if "output" in ini else {}
-
-    def fget(sec, key, default):
-        return float(sec[key]) if key in sec else default
-
-    def iget(sec, key, default):
-        value = fget(sec, key, default)
-        if not float(value).is_integer():
-            raise ConfigurationError(f"{key} must be an integer, got {sec[key]}")
-        return int(value)
-
-    cfg = SimulationConfig(
-        E=fget(mat, "e", 210.0),
-        nu=fget(mat, "nu", 0.3),
-        Gc=fget(mat, "gc", 2.7e-3),
-        law_kind=lawsec.get("kind", "exponential"),
-        law_n=float(lawsec["n"]) if "n" in lawsec else None,
-        ell=float(lawsec["ell"]) if "ell" in lawsec else None,
-        ell_factor=float(lawsec["ell_factor"]) if "ell_factor" in lawsec else (
-            None if "ell" in lawsec else 1.0462),
-        u_max=fget(loading, "u_max", 8.0e-3),
-        du_coarse=fget(loading, "du_coarse", 1.0e-4),
-        du_fine=fget(loading, "du_fine", 1.0e-5),
-        u_switch=float(loading["u_switch"]) if "u_switch" in loading else None,
-        stop_reaction_fraction=fget(loading, "stop_reaction_fraction", 0.15),
-        staggered_tol=fget(solver, "staggered_tol", 1.0e-6),
-        max_staggered_iters=iget(solver, "max_staggered_iters", 50),
-        max_halvings=iget(solver, "max_halvings", 10),
-        stiffness_floor=fget(solver, "stiffness_floor", 1.0e-8),
-        field_every=iget(output, "field_every", 0),
-    )
-    level = ini.get("mesh", "level", fallback="coarse")
-    return cfg, level
+    settings = _settings(ini, _SENT_SCHEMA)
+    level = _with_defaults(build_sent_mesh, **settings.get("mesh", {}))["level"]
+    return SimulationConfig(**settings.get("config", {})), level
 
 
 def _cmd_sent(args) -> int:
     t0 = time.time()
-    ini = _read_ini(args.config)
+    ini = _read_ini(args.config, _SENT_SCHEMA)
     cfg, level = _sent_config(ini)
     if args.mesh:
         level = args.mesh
     if args.law:
-        cfg = dataclasses.replace(cfg, law_kind=args.law)
+        # the file's n stays only for a kind that takes one
+        keep_n = args.law not in KIND_TABLE or KIND_TABLE[args.law].shape
+        cfg = dataclasses.replace(cfg, law_kind=args.law, law_n=cfg.law_n if keep_n else None)
     out = _ensure_outdir(args.out, args.force)
     mesh = build_sent_mesh(level)
     result = run_sent(cfg, mesh=mesh)
@@ -353,12 +369,8 @@ def _cmd_sent(args) -> int:
             point_vectors={"displacement": disp},
         )
     cfg_dict = {sec: dict(ini[sec]) for sec in ini.sections()}
-    cfg_dict["resolved"] = {
-        "mesh_level": level,
-        "law_kind": cfg.law_kind,
-        "ell": cfg.resolve_ell(mesh),
-        "elements": int(mesh.n_elems),
-    }
+    cfg_dict["resolved"] = dataclasses.asdict(cfg) | {
+        "mesh_level": level, "ell": cfg.resolve_ell(mesh), "elements": int(mesh.n_elems)}
     _write_manifest(out, "sent", cfg_dict, None, t0, totals={
         "staggered_iterations": result.staggered_iterations,
         "factorizations": result.factorizations,

@@ -21,10 +21,6 @@ from scipy import integrate
 from .errors import ConfigurationError, DivergenceError, DomainError, NoClosedFormError
 from .kinds import TABLE, hypergeometric_norm  # noqa: F401  (re-exported)
 
-KINDS = tuple(TABLE)
-FULL_LINE_KINDS = tuple(k for k in KINDS if TABLE[k].full_line)
-HALF_LINE_KINDS = tuple(k for k in KINDS if not TABLE[k].full_line)
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -52,10 +48,6 @@ class DistributionSpec:
                 f"{self.kind} shape must lie in [{entry.shape_range[0]:g}, "
                 f"{entry.shape_range[1]:g}], got {self.param}"
             )
-
-    @property
-    def half_line(self) -> bool:
-        return not TABLE[self.kind].full_line
 
 
 @dataclass(frozen=True)

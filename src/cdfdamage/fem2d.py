@@ -372,6 +372,10 @@ class SimulationConfig:
     field_every: int = 0               # snapshot cadence in accepted steps, 0 = end only
 
     def __post_init__(self):
+        for name in ("max_staggered_iters", "max_halvings", "field_every"):
+            if not float(getattr(self, name)).is_integer():  # 2.9 is refused, not truncated
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)}")
+            setattr(self, name, int(getattr(self, name)))  # 1e3 or 2.0 is accepted
         check_law_kind(self.law_kind, self.law_n)
         Elasticity(self.E, self.nu, "plane_strain")  # raises on E <= 0 or nu outside (-1, 0.5)
         if not (self.Gc > 0.0):
@@ -418,7 +422,6 @@ class SentResult:
     stored_energy: list
     external_work: list
     snapshots: list = field(default_factory=list)  # (step, nodal damage, nodal disp)
-    mesh: Mesh | None = None
     gp_damage: np.ndarray | None = None
     # run totals, rejected attempts included: linear solves (one per staggered
     # iteration), fresh factorizations, and CG iterations on a kept factor
@@ -510,7 +513,7 @@ class SentSolver:
             u = min(u + du, cfg.u_max)
             targets.append(u)
 
-        result = SentResult(steps=[], stored_energy=[0.0], external_work=[0.0], mesh=self.mesh)
+        result = SentResult(steps=[], stored_energy=[0.0], external_work=[0.0])
         counts0 = self._solver_counts()
         step_no = 0
         u_prev = 0.0

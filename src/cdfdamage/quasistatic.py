@@ -349,34 +349,26 @@ class RecoveryRow:
     bound: float
 
 
-def gamma_recovery_table(
-    F: DistributionSpec,
-    lambdas,
-    layer_rule=None,
-    domain_length: float = 1.0,
-    saturation_tail: float = 1e-12,
-):
+def gamma_recovery_table(F: DistributionSpec, lambdas):
     """Energy of a smoothed unit step under the scaled functionals.
 
-    The candidate u has a unit jump at mid-domain smoothed linearly over
-    width eps(lam) (default lam^-1/2), so its gradient is 1/eps on the
-    layer and 0 outside; the energy is the exact two-piece closed form
-    eps * S(lam/(2 eps^2))/lam with S the survival integral. Returns the
-    rows plus a warning flag when F does not saturate numerically.
+    The candidate u on the unit domain has a unit jump at mid-domain
+    smoothed linearly over width eps = min(lam^-1/2, 1), so its gradient is
+    1/eps on the layer and 0 outside; the energy is the exact two-piece
+    closed form eps * S(lam/(2 eps^2))/lam with S the survival integral.
+    Returns the rows plus a warning when 1 - F stays above 1e-12.
     """
-    if layer_rule is None:
-        layer_rule = lambda lam: lam**-0.5
-    s_c = saturation_point(F, tail=saturation_tail)
+    s_c = saturation_point(F, tail=1e-12)
     warning = None
     if s_c is None:
-        warning = "CDF does not reach 1 - F <= {:g} below the search bound".format(saturation_tail)
+        warning = "CDF does not reach 1 - F <= 1e-12 below the search bound"
         s_c = 1e9
     mean_energy = survival_integral(F, s_c)
     rows = []
     for lam in lambdas:
         if not lam > 0.0:
             raise DomainError("lambda values must be positive")
-        eps = min(float(layer_rule(lam)), domain_length)
+        eps = min(float(lam**-0.5), 1.0)
         grad_energy = 0.5 / (eps * eps)
         e = eps * survival_integral(F, min(lam * grad_energy, 50.0 * s_c)) / lam
         rows.append(RecoveryRow(float(lam), eps, e, mean_energy * eps))

@@ -7,7 +7,7 @@ import numpy as np
 _VTK_QUAD = 9
 
 
-def write_vtk(path, nodes, elems, point_scalars=None, point_vectors=None, title="cdfdamage fields"):
+def write_vtk(path, nodes, elems, point_scalars=None, point_vectors=None):
     """Write a 2D quad mesh with nodal scalar/vector fields.
 
     nodes: (nn, 2) or (nn, 3); elems: (ne, 4). Scalars are written as
@@ -19,7 +19,7 @@ def write_vtk(path, nodes, elems, point_scalars=None, point_vectors=None, title=
     ne = elems.shape[0]
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
+        f.write("cdfdamage fields\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {nn} double\n")

@@ -1,15 +1,23 @@
 import configparser
+import dataclasses
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdfdamage import cli
 from cdfdamage.cli import main
+from cdfdamage.fem2d import SimulationConfig
+from cdfdamage.quasistatic import certify_energy_balance, certify_stability
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +163,15 @@ competitors = 100
     assert data["crack_count"][-1] == 1
     report = (out_dir / "certificates.txt").read_text()
     assert "stability" in report and "PASS" in report
+    # the manifest records what ran, defaults included
+    resolved = json.loads((out_dir / "manifest.json").read_text())["config"]["resolved"]
+    assert resolved["steps"] == 80
+    assert resolved["problem"]["element_count"] == 4
+    assert resolved["problem"]["law"] == {"kind": "exponential", "G": 1.0, "ell": 1.0, "n": None}
+    stability_tol = inspect.signature(certify_stability).parameters["tolerance"].default
+    balance_tol = inspect.signature(certify_energy_balance).parameters["tolerance"].default
+    assert resolved["stability"] == {"competitors": 100, "seed": 4, "tolerance": stability_tol}
+    assert resolved["balance"] == {"tolerance": balance_tol}
 
 
 def test_sent_missing_config(tmp_path, capsys):
@@ -219,6 +236,126 @@ def test_sent_integral_settings_accept_float_spelling():
     assert all(type(v) is int for v in (cfg.max_staggered_iters, cfg.max_halvings, cfg.field_every))
 
 
+SENT_BASE = {"mesh": {"level": "smoke"}}
+BAR_BASE = {
+    "bar": {"element_count": "4"},
+    "law": {"kind": "exponential"},
+    "loading": {"g_end": "1.0", "steps": "20"},
+    "evolution": {"jump_cost": "0.05"},
+}
+
+
+def write_ini(path, sections, section=None, key=None, value=None):
+    """Write `sections` as INI with one edit: set [section] key = value,
+    drop the key when value is None, or drop the section when key is None."""
+    sections = {name: dict(keys) for name, keys in sections.items()}
+    if key is None:
+        sections.pop(section, None)
+    elif value is None:
+        sections[section].pop(key)
+    else:
+        sections.setdefault(section, {})[key] = value
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                            for name, keys in sections.items()))
+    return path
+
+
+@pytest.fixture
+def no_mesh(monkeypatch):
+    def refuse(level):
+        raise AssertionError("mesh built before the configuration was validated")
+
+    monkeypatch.setattr(cli, "build_sent_mesh", refuse)
+
+
+@pytest.mark.parametrize("command,section,key,value,message", [
+    ("sent", "solver", "max_staggered_iter", "3", "unknown key [solver] max_staggered_iter"),
+    ("sent", "solvers", "max_staggered_iters", "3", "unknown section [solvers]"),
+    ("sent", "material", "e", "210 kN", "[material] e must be a number"),
+    ("quasistatic", "loading", "step", "5", "unknown key [loading] step"),
+    ("quasistatic", "certificate", "competitors", "5", "unknown section [certificate]"),
+    ("quasistatic", "bar", "k", "stiff", "[bar] k must be a number"),
+    ("quasistatic", "bar", "element_count", None, "[bar] element_count is required"),
+    ("quasistatic", "bar", None, None, "[bar] element_count is required"),
+    ("quasistatic", "law", "kind", None, "[law] kind is required"),
+    ("quasistatic", "evolution", "jump_cost", None, "[evolution] jump_cost is required"),
+    ("quasistatic", "loading", "g_end", None, "exactly one of g_end and knots"),
+    ("quasistatic", "loading", "knots", "0:0, 1:1", "exactly one of g_end and knots"),
+    ("quasistatic", "law", "lam", "2", "[law] lam does not apply to type = damage"),
+    ("quasistatic", "law", "type", "cohesive", "[law] type must be"),
+])
+def test_config_refused_before_anything_is_built(tmp_path, capsys, no_mesh, command,
+                                                 section, key, value, message):
+    base = SENT_BASE if command == "sent" else BAR_BASE
+    cfgfile = write_ini(tmp_path / "run.cfg", base, section, key, value)
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, command, "--config", str(cfgfile), "--out", str(out_dir))
+    assert code == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_bar_knots_that_do_not_parse_are_refused(tmp_path, capsys):
+    sections = dict(BAR_BASE, loading={"knots": "0:0, 0.5"})
+    cfgfile = write_ini(tmp_path / "bar.cfg", sections, "loading", "steps", "10")
+    code, _, err = run_cli(capsys, "quasistatic", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+    assert code == 1 and "[loading] knots" in err
+
+
+def test_sent_every_config_field_is_set_by_one_key():
+    # every key of the schema, once, with a value its receiver accepts
+    ini = configparser.ConfigParser()
+    ini.read_dict({section: {key: {"kind": "exponential", "level": "smoke"}.get(key, "1")
+                             for key in keys}
+                   for section, keys in cli._SENT_SCHEMA.items()})
+    grouped = cli._settings(ini, cli._SENT_SCHEMA)
+    fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+    assert set(grouped["config"]) == fields
+    assert sum(len(keys) for keys in cli._SENT_SCHEMA.values()) == len(fields) + len(grouped["mesh"])
+
+
+def _doc_ini_blocks():
+    text = (ROOT / "docs" / "configuration.md").read_text()
+    blocks = {}
+    for part in re.split(r"^## ", text, flags=re.M)[1:]:
+        command = part.split("`")[1]
+        blocks[command] = re.findall(r"```ini\n(.*?)```", part, flags=re.S)
+    return blocks
+
+
+@pytest.mark.parametrize("command,schema,build", [
+    ("quasistatic", "_BAR_SCHEMA", "_bar_problem"),
+    ("sent", "_SENT_SCHEMA", "_sent_config"),
+])
+def test_doc_ini_blocks_parse_and_name_every_key(tmp_path, command, schema, build):
+    schema = getattr(cli, schema)
+    (block,) = _doc_ini_blocks()[command]
+    path = tmp_path / "doc.cfg"
+    path.write_text(block)
+    getattr(cli, build)(cli._read_ini(str(path), schema))
+    for section, keys in schema.items():
+        body = re.search(rf"^\[{section}\]\n(.*?)(?=^\[|\Z)", block, flags=re.M | re.S).group(1)
+        for key in keys:
+            assert re.search(rf"^[ ;]*{key}\s*=", body, flags=re.M | re.I), f"[{section}] {key}"
+
+
+def test_sent_law_flag_keeps_the_file_n_only_for_a_kind_that_takes_one(tmp_path, capsys):
+    radical = write_ini(tmp_path / "radical.cfg", dict(SENT_BASE, law={"kind": "radical", "n": "1"}),
+                        "loading", "u_max", "4e-4")
+    for kind, n in (("exponential", None), ("hypergeometric", 1)):
+        out_dir = tmp_path / kind
+        code, _, err = run_cli(capsys, "sent", "--config", str(radical), "--law", kind,
+                               "--out", str(out_dir))
+        assert code == 0, err
+        resolved = json.loads((out_dir / "manifest.json").read_text())["config"]["resolved"]
+        assert (resolved["law_kind"], resolved["law_n"]) == (kind, n)
+    # a kind that needs n and a file without one fail as before
+    plain = write_ini(tmp_path / "plain.cfg", SENT_BASE, "law", "kind", "exponential")
+    code, _, err = run_cli(capsys, "sent", "--config", str(plain), "--law", "radical",
+                           "--out", str(tmp_path / "o"))
+    assert code == 1 and "requires a positive n" in err
+
+
 def test_import_loads_neither_mpmath_nor_special():
     code = "import sys, cdfdamage.cli; print('mpmath' in sys.modules, 'cdfdamage.special' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -261,7 +398,15 @@ max_staggered_iters = 200
     vtks = list(out_dir.glob("fields_*.vtk"))
     assert vtks, "final field snapshot missing"
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["config"]["resolved"]["mesh_level"] == "smoke"
+    resolved = manifest["config"]["resolved"]
+    assert resolved["mesh_level"] == "smoke"
+    # every setting the run used, the defaults the file leaves out included
+    expected = dataclasses.asdict(SimulationConfig(
+        u_max=2e-3, du_coarse=5e-4, du_fine=5e-4, u_switch=2e-3, stop_reaction_fraction=0.0,
+        max_staggered_iters=200))
+    del expected["ell"]  # resolved["ell"] is the length the run used
+    assert expected.items() <= resolved.items()
+    assert resolved["ell"] == pytest.approx(1.0462 / 40.0)
     totals = manifest["totals"]
     assert totals["staggered_iterations"] == int(data["iterations"].sum())
     assert 1 <= totals["factorizations"] < totals["staggered_iterations"]

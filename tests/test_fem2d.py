@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ def test_config_validation():
     cfg = SimulationConfig(ell_factor=None, ell=None)
     with pytest.raises(ConfigurationError):
         cfg.resolve_ell(build_sent_mesh("smoke"))
+
+
+def test_config_integer_settings():
+    for name in ("max_staggered_iters", "max_halvings", "field_every"):
+        for bad in (2.9, 2.5, math.inf):
+            with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+                SimulationConfig(**{name: bad})
+        value = getattr(SimulationConfig(**{name: 1e3}), name)
+        assert value == 1000 and type(value) is int
 
 
 def test_seam_opens_under_load():
