@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     NoClosedFormError,
     NonConvergenceError,
+    integral,
 )
 from .fem2d import MESH_LEVELS, SimulationConfig, build_sent_mesh, run_sent
 from .kinds import TABLE as KIND_TABLE
@@ -247,6 +248,9 @@ def _bar_problem(ini: configparser.ConfigParser) -> tuple[BarProblem, np.ndarray
         if not ini.has_option(section, key):
             raise ConfigurationError(f"[{section}] {key} is required")
     settings = _settings(ini, _BAR_SCHEMA)
+    for target, name in (("problem", "element_count"), ("times", "steps"), ("stability", "competitors")):
+        if name in settings.get(target, {}):
+            settings[target][name] = integral(name, settings[target][name])
     loading = settings.get("loading", {})
     if ("g_end" in loading) == ("knots" in loading):
         raise ConfigurationError("[loading] needs exactly one of g_end and knots")
@@ -375,6 +379,7 @@ def _cmd_sent(args) -> int:
         "staggered_iterations": result.staggered_iterations,
         "factorizations": result.factorizations,
         "cg_iterations": result.cg_iterations,
+        "back_solves": result.back_solves,
         "stored_energy": result.stored_energy[-1],
         "external_work": result.external_work[-1],
     })

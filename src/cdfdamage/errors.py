@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule for counts."""
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +23,11 @@ class NoSmoothExpansionError(LookupError):
 
 class NonConvergenceError(RuntimeError):
     """An iterative solver failed to converge within its budget."""
+
+
+def integral(name: str, value) -> int:
+    """A count given as a number: 2.0 or 1e3 is accepted as an int, 2.9 or inf
+    is refused rather than truncated."""
+    if not float(value).is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value}")
+    return int(value)

@@ -26,12 +26,14 @@ and the stored energy come from element forces.
 Between two staggered iterations the weights change only in the process
 zone, so the plan keeps the last SuperLU factor (symmetric mode, minimum-
 degree ordering of A^T + A) and solves with conjugate gradients
-preconditioned by it; it factors afresh only when CG does not reach the
-residual bound within a few iterations, or when a weight is (numerically)
-zero. A factor that passed the pivot check proves A(w) symmetric positive
-definite for every positive weight field w, which is what CG needs. A
-singular reduced stiffness (a rigid motion left free) raises instead of
-returning a meaningless displacement.
+preconditioned by it, one triangular solve per iteration. CG starts from
+the best combination of the last two solutions and stops only when both the
+residual and its last correction are small; the plan factors afresh when CG
+does not get there within a few iterations, or when a weight is
+(numerically) zero. A factor that passed the pivot check proves A(w)
+symmetric positive definite for every positive weight field w, which is
+what CG needs. A singular reduced stiffness (a rigid motion left free)
+raises instead of returning a meaningless displacement.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import scipy.sparse.linalg as spla
 
 from .continuum import Elasticity, elasticity_tensor
 from .damage_laws import DamageLaw, check_law_kind, damage as law_damage, degradation as law_degradation
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, integral
 
 MESH_LEVELS = ("coarse", "refined", "smoke")
 
@@ -208,12 +210,15 @@ def _stiffness_blocks(mesh: Mesh, elast: Elasticity):
 
 # Bounds of the CG solve on a kept factor (`ReducedSystem.solve`), measured on
 # the coarse SENT curve of tests/test_sent_reference.py (743 solves, one
-# thread). A residual bound of 1e-12 |b| keeps every step's iteration count
-# and the curve within 3e-11 of the reference; 1e-10 lets max damage drift by
-# 2.3e-9, past the 1e-9 gate, and 1e-13 costs about 20% more time. A cap of 25
-# iterations refactors 15 times, at about 13 CG iterations per solve, and ran
-# 15.0-16.8 s; a cap of 15 refactored 45 times (14.7 s, a wash), and 40
-# refactored 6 times but ran 18.8 s.
+# thread), when CG started from the factor's own solution and stopped on the
+# residual alone. A residual bound of 1e-12 |b| keeps every step's iteration
+# count and the curve within 3e-11 of the reference; 1e-10 lets max damage
+# drift by 2.3e-9, past the 1e-9 gate, and 1e-13 costs about 20% more time. A
+# cap of 25 iterations refactored 15 times, at about 13 CG iterations per
+# solve; a cap of 15 refactored 45 times (a wash), and 40 refactored 6 times
+# but ran 18% longer. CG_RTOL also bounds the last correction relative to |x|.
+# With the start from the last two solutions the same run refactors 11 times
+# at about 11.7 CG iterations, and 8.6 thousand back-solves instead of 11.0.
 CG_RTOL = 1e-12
 CG_MAXITER = 25
 
@@ -232,18 +237,28 @@ class ReducedSystem:
     largest raises `np.linalg.LinAlgError`: the fixed dofs leave a rigid
     motion, or the weights a disconnected part, free. The last factor that
     passed this check is kept. While every weight is positive, a later call
-    solves A(w) x = b by CG preconditioned by that factor, started from its
-    own solution of the system, and keeps the answer when CG stops within
-    CG_MAXITER iterations and the explicitly computed residual is at most
-    CG_RTOL |b|; otherwise it releases the old factor and factors afresh.
+    solves A(w) x = b by CG preconditioned by that factor, with one back-solve
+    per iteration. CG starts from the point of least A-norm error in
+    span{x_k, x_k - x_(k-1)} of the last two solutions returned, or from the
+    factor's own solution of the system before there are two or when they
+    are parallel in the A-norm. It stops at the first iterate, never the
+    start, whose residual is below CG_RTOL |b| and whose last correction is
+    at most CG_RTOL |x|: where the weights sit at the stiffness floor, an
+    error of the start enters the residual scaled by the floor, but the
+    correction that removes it in full. (An error whose residual is below
+    round-off stays unseen by either test.) The answer is kept when CG stops
+    within CG_MAXITER iterations and the explicitly computed residual is at
+    most CG_RTOL |b|; otherwise the plan releases the old factor and factors
+    afresh.
     The CG path needs no pivot check: with A(w0) the matrix of the kept
     factor, A(w) >= (min w / max w0) A(w0) in the Loewner order, so a
     positive weight field gives a symmetric positive definite A(w). A zero
     weight (a stiffness floor of 0), or one at most n eps times the largest
     (zero to the precision of the pivot check, as a saturated law gives
     without a floor), always takes the fresh factor, so CG never hides a
-    singular matrix. `solves`, `factorizations` and `cg_iterations` count
-    the work since the plan was built.
+    singular matrix. `solves`, `factorizations`, `cg_iterations` and
+    `back_solves` (triangular-solve pairs on any factor) count the work
+    since the plan was built.
     """
 
     def __init__(self, K0: np.ndarray, dofs: np.ndarray, fixed: np.ndarray):
@@ -267,7 +282,8 @@ class ReducedSystem:
         self.Ke = np.empty((dofs.shape[0], 8, 8))  # element matrices of the last assembly
         self._ff_vals = np.empty(self.ff_idx.size)
         self._lu = None  # the last factor that passed the pivot check
-        self.solves = self.factorizations = self.cg_iterations = 0
+        self._recent = []  # the last two solutions returned, oldest first
+        self.solves = self.factorizations = self.cg_iterations = self.back_solves = 0
 
     def matrix(self, weights: np.ndarray) -> sp.csc_matrix:
         """Element matrices sum_g w_g K0_g, scattered into the free-free block."""
@@ -292,26 +308,55 @@ class ReducedSystem:
         if x is None:
             self._lu = None  # release the old factor before SuperLU allocates the new one
             self._lu = self._factor(A)
-            x = self._lu.solve(b)
+            x = self._back_solve(b)
+        self._recent = [*self._recent[-1:], x]
         u[self.free] = x
         return u
 
+    def _back_solve(self, r: np.ndarray) -> np.ndarray:
+        self.back_solves += 1
+        return self._lu.solve(r)
+
     def _solve_on_kept_factor(self, A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
-        """CG on A x = b preconditioned by the kept factor; None when it does
-        not meet the iteration cap and the residual bound."""
-        lu = self._lu
-        iterations = 0
+        """CG on A x = b preconditioned by the kept factor, one back-solve per
+        iteration; None when it does not converge within CG_MAXITER
+        iterations or leaves an explicit residual above CG_RTOL |b|."""
+        if not b.any():
+            return np.zeros(self.n)
+        x, r = self._start(A, b)
+        r_tol = CG_RTOL * np.linalg.norm(b)
+        p, rho = np.zeros(self.n), 1.0  # so that the first direction is M^-1 r0
+        for k in range(1, CG_MAXITER + 1):
+            z = self._back_solve(r)
+            rho, rho_prev = r @ z, rho
+            p = z + (rho / rho_prev) * p
+            q = A @ p
+            alpha = rho / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            if np.linalg.norm(r) < r_tol and abs(alpha) * np.linalg.norm(p) <= CG_RTOL * np.linalg.norm(x):
+                break
+        else:
+            self.cg_iterations += CG_MAXITER
+            return None
+        self.cg_iterations += k
+        return x if np.linalg.norm(b - A @ x) <= r_tol else None
 
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        x, info = spla.cg(A, b, x0=lu.solve(b), rtol=CG_RTOL, maxiter=CG_MAXITER,
-                          M=spla.LinearOperator(A.shape, matvec=lu.solve), callback=count)
-        self.cg_iterations += iterations
-        if info == 0 and np.linalg.norm(b - A @ x) <= CG_RTOL * np.linalg.norm(b):
-            return x
-        return None
+    def _start(self, A: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x0 and r0 = b - A x0 for CG: the point of least A-norm error in
+        span{x_k, x_k - x_(k-1)} of the last two solutions (three matvecs and a
+        2x2 solve), or the kept factor's own solution while there are fewer
+        or that 2x2 system is singular."""
+        if len(self._recent) == 2:
+            V = np.column_stack([self._recent[1], self._recent[1] - self._recent[0]])
+            G = V.T @ (A @ V)
+            # det G = G00 G11 (1 - cos^2) of the A-angle between the two; near 0 the
+            # solve would lose x0 to cancellation (the test is false when not finite)
+            if np.linalg.det(G) > 1e-12 * G[0, 0] * G[1, 1]:
+                x = V @ np.linalg.solve(G, V.T @ b)
+                return x, b - A @ x
+        x = self._back_solve(b)
+        return x, b - A @ x
 
     def _factor(self, A: sp.csc_matrix):
         """Symmetric-mode SuperLU factor of A, checked for a singular pivot."""
@@ -373,9 +418,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("max_staggered_iters", "max_halvings", "field_every"):
-            if not float(getattr(self, name)).is_integer():  # 2.9 is refused, not truncated
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)}")
-            setattr(self, name, int(getattr(self, name)))  # 1e3 or 2.0 is accepted
+            setattr(self, name, integral(name, getattr(self, name)))
         check_law_kind(self.law_kind, self.law_n)
         Elasticity(self.E, self.nu, "plane_strain")  # raises on E <= 0 or nu outside (-1, 0.5)
         if not (self.Gc > 0.0):
@@ -424,10 +467,12 @@ class SentResult:
     snapshots: list = field(default_factory=list)  # (step, nodal damage, nodal disp)
     gp_damage: np.ndarray | None = None
     # run totals, rejected attempts included: linear solves (one per staggered
-    # iteration), fresh factorizations, and CG iterations on a kept factor
+    # iteration), fresh factorizations, CG iterations on a kept factor, and
+    # triangular-solve pairs on any factor
     staggered_iterations: int = 0
     factorizations: int = 0
     cg_iterations: int = 0
+    back_solves: int = 0
 
     @property
     def peak_reaction(self) -> float:
@@ -560,13 +605,13 @@ class SentSolver:
                 break
         result.snapshots.append((step_no, *self.nodal_fields()))
         result.gp_damage = np.asarray(law_damage(self.law, self.eta))
-        result.staggered_iterations, result.factorizations, result.cg_iterations = (
-            int(c) for c in self._solver_counts() - counts0)
+        (result.staggered_iterations, result.factorizations, result.cg_iterations,
+         result.back_solves) = (int(c) for c in self._solver_counts() - counts0)
         return result
 
     def _solver_counts(self) -> np.ndarray:
         s = self.system
-        return np.array([s.solves, s.factorizations, s.cg_iterations])
+        return np.array([s.solves, s.factorizations, s.cg_iterations, s.back_solves])
 
     def nodal_fields(self):
         """Element-averaged damage projected to nodes, and nodal displacement."""

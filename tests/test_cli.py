@@ -302,6 +302,36 @@ def test_bar_knots_that_do_not_parse_are_refused(tmp_path, capsys):
     assert code == 1 and "[loading] knots" in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("bar", "element_count", "2.9"),
+    ("loading", "steps", "20.5"),
+    ("certificates", "competitors", "2.9"),
+    ("bar", "element_count", "inf"),
+])
+def test_bar_non_integral_count_is_refused_before_the_output_directory(tmp_path, capsys,
+                                                                       section, key, value):
+    cfgfile = write_ini(tmp_path / "bar.cfg", BAR_BASE, section, key, value)
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "quasistatic", "--config", str(cfgfile), "--out", str(out_dir))
+    assert code == 1
+    assert f"{key} must be an integer, got {value}" in err
+    assert not out_dir.exists()
+
+
+def test_bar_counts_accept_an_integral_float_spelling(tmp_path, capsys):
+    sections = dict(BAR_BASE, bar={"element_count": "4.0"}, loading={"g_end": "1.0", "steps": "2e1"},
+                    certificates={"competitors": "1e1"})
+    cfgfile = write_ini(tmp_path / "bar.cfg", sections)
+    out_dir = tmp_path / "o"
+    code, _, _ = run_cli(capsys, "quasistatic", "--config", str(cfgfile), "--out", str(out_dir))
+    assert code in (0, 2)  # ran to the certificates
+    resolved = json.loads((out_dir / "manifest.json").read_text())["config"]["resolved"]
+    assert (resolved["problem"]["element_count"], resolved["steps"]) == (4, 20)
+    assert resolved["stability"]["competitors"] == 10
+    assert all(type(v) is int for v in (resolved["problem"]["element_count"], resolved["steps"],
+                                        resolved["stability"]["competitors"]))
+
+
 def test_sent_every_config_field_is_set_by_one_key():
     # every key of the schema, once, with a value its receiver accepts
     ini = configparser.ConfigParser()
@@ -411,6 +441,10 @@ max_staggered_iters = 200
     assert totals["staggered_iterations"] == int(data["iterations"].sum())
     assert 1 <= totals["factorizations"] < totals["staggered_iterations"]
     assert totals["cg_iterations"] > 0
+    # one back-solve per CG iteration and per fresh factor, and at most one
+    # more per solve for a CG start
+    cg_and_fresh = totals["cg_iterations"] + totals["factorizations"]
+    assert cg_and_fresh <= totals["back_solves"] <= cg_and_fresh + totals["staggered_iterations"]
     assert 0.0 < totals["stored_energy"] <= totals["external_work"]
     # identical configuration reproduces byte-identical outputs
     rerun = tmp_path / "sent2"

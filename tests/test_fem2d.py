@@ -296,6 +296,59 @@ def test_weights_far_from_the_factor_refactor():
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_stale_start_in_a_floor_patch_is_corrected(seed):
+    # The kept factor is the undamaged plate's; the solve's weights are at the
+    # stiffness floor in a patch, and the last solution is exact except at the
+    # nodes inside that patch. Its residual, 30 times the round-off of a fresh
+    # solve, already meets the residual bound: only the size of the last CG
+    # correction shows that the start is wrong.
+    m, system, u, *_ = _sent_system()
+    system.solve(np.ones((m.n_elems, 4)), u.copy())
+    centroids = m.nodes[m.elems].mean(axis=1)
+    patch = np.linalg.norm(centroids - m.nodes[m.notch_tip] - [0.1, 0.0], axis=1) < 0.065
+    weights = np.ones((m.n_elems, 4))
+    weights[patch] = SimulationConfig().stiffness_floor
+    A, b = system.matrix(weights), system.lift(u)
+    ref = spla.splu(A).solve(b)
+    inside = np.setdiff1d(m.elems[patch], m.elems[~patch])
+    stale = np.isin(system.free // 2, inside)
+    error = np.where(stale, np.random.default_rng(seed).standard_normal(system.n), 0.0)
+    error *= 30 * np.linalg.norm(b - A @ ref) / np.linalg.norm(A @ error)
+    assert np.linalg.norm(A @ error) < 1e-12 * np.linalg.norm(b)
+    system._recent = [system._recent[-1], ref + error]
+
+    x = system.solve(weights, u.copy())[system.free]
+    assert system.factorizations == 1  # answered on the kept factor
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+class _CountingFactor:
+    def __init__(self, lu):
+        self.lu, self.rhs = lu, []
+
+    def solve(self, r):
+        self.rhs.append(r.copy())
+        return self.lu.solve(r)
+
+
+def test_kept_factor_solve_back_solves():
+    # one back-solve per CG iteration: no start solve, no probe of the
+    # preconditioner with a zero vector
+    m, system, u, *_ = _sent_system()
+    for weights in (np.ones((m.n_elems, 4)), _process_zone_weights(m, 0.01)):
+        system.solve(weights, u.copy())  # the factor, and two solutions to start from
+    counting = system._lu = _CountingFactor(system._lu)
+    for rho in (0.02, 0.03, 0.05):
+        calls, iterations, back_solves = len(counting.rhs), system.cg_iterations, system.back_solves
+        system.solve(_process_zone_weights(m, rho), u.copy())
+        k = system.cg_iterations - iterations
+        assert 1 <= len(counting.rhs) - calls <= max(k, 1)
+        assert system.back_solves - back_solves == len(counting.rhs) - calls
+    assert system.factorizations == 1
+    assert all(r.any() for r in counting.rhs)
+
+
 @pytest.mark.parametrize("law", [dict(law_kind="exponential"),
                                  dict(law_kind="hypergeometric", law_n=1.0)])
 def test_broken_row_after_a_kept_factor_raises(law):
