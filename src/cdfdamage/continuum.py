@@ -1,11 +1,11 @@
-"""Small-strain kinematics: spectral tensile/compressive split and effective stress.
+"""Small-strain isotropic elasticity and the tensile energy phi+ that drives damage.
 
-Works on symmetric strain tensors (2x2 in plane strain, 3x3 in 3D). The
-split is by eigenprojection: positive/negative parts of the principal
-strains reassembled in the principal basis. In plane strain the
-out-of-plane strain is identically zero, so the 2x2 eigenproblem is the
-whole story for the split; the out-of-plane stress is reported
-separately and never enters the in-plane blocks.
+Strains are in Voigt form with engineering shears: (xx, yy, xy) in plane
+strain, (xx, yy, zz, yz, xz, xy) in 3D, matching `elasticity_tensor`. The
+tensile energy comes from the spectral split of the strain,
+phi+ = 0.5 * lam * (sum <e_i>+)^2 + mu * sum <e_i>+^2 over the principal
+strains e_i. In plane strain the out-of-plane strain is identically zero,
+so the in-plane principal strains are the whole story.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damage_laws import DamageLaw, degradation
 from .errors import ConfigurationError, DomainError
 
 PLANE_STRAIN = "plane_strain"
 THREE_D = "3d"
+_VOIGT_LENGTH = {PLANE_STRAIN: 3, THREE_D: 6}
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Elasticity:
             raise ConfigurationError(f"E must be positive, got {self.E}")
         if not (-1.0 < self.nu < 0.5):
             raise ConfigurationError(f"nu must lie in (-1, 0.5), got {self.nu}")
-        if self.regime not in (PLANE_STRAIN, THREE_D):
+        if self.regime not in _VOIGT_LENGTH:
             raise ConfigurationError(f"unknown regime '{self.regime}'")
 
     @property
@@ -46,25 +46,6 @@ class Elasticity:
     def mu(self) -> float:
         """Shear modulus."""
         return self.E / (2.0 * (1.0 + self.nu))
-
-    @property
-    def dim(self) -> int:
-        return 2 if self.regime == PLANE_STRAIN else 3
-
-
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Tensile/compressive strain parts with their energies and base stresses."""
-
-    eps_plus: np.ndarray
-    eps_minus: np.ndarray
-    phi_plus: float
-    phi_minus: float
-    sigma0_plus: np.ndarray
-    sigma0_minus: np.ndarray
-    # out-of-plane normal stress components (plane strain only, else 0)
-    szz_plus: float = 0.0
-    szz_minus: float = 0.0
 
 
 def elasticity_tensor(elast: Elasticity) -> np.ndarray:
@@ -85,53 +66,28 @@ def elasticity_tensor(elast: Elasticity) -> np.ndarray:
     return D
 
 
-def _validate_strain(eps: np.ndarray, dim: int) -> np.ndarray:
-    arr = np.asarray(eps, dtype=float)
-    if arr.shape != (dim, dim):
-        raise DomainError(f"expected a {dim}x{dim} strain tensor, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("strain tensor has non-finite entries")
-    if not np.allclose(arr, arr.T, atol=1e-12, rtol=0.0):
-        raise DomainError("strain tensor must be symmetric")
-    return 0.5 * (arr + arr.T)
-
-
-def spectral_split(eps: np.ndarray, elast: Elasticity) -> SpectralSplit:
-    """Eigenvalue split of the strain with energies phi+- and stresses sigma0+-.
-
-    phi+- = 0.5 * lam * tr(eps+-)^2 + mu * (eps+- : eps+-); in plane strain
-    the zero out-of-plane strain contributes to neither part.
-    """
-    e = _validate_strain(eps, elast.dim)
-    lam, mu = elast.lam, elast.mu
-    w, v = np.linalg.eigh(e)
-    pos = (v * np.maximum(w, 0.0)) @ v.T
-    neg = (v * np.minimum(w, 0.0)) @ v.T
-    trp, trn = np.trace(pos), np.trace(neg)
-    phi_p = 0.5 * lam * trp * trp + mu * float(np.sum(pos * pos))
-    phi_n = 0.5 * lam * trn * trn + mu * float(np.sum(neg * neg))
-    eye = np.eye(elast.dim)
-    sig_p = lam * trp * eye + 2.0 * mu * pos
-    sig_n = lam * trn * eye + 2.0 * mu * neg
-    szz_p = lam * trp if elast.regime == PLANE_STRAIN else 0.0
-    szz_n = lam * trn if elast.regime == PLANE_STRAIN else 0.0
-    return SpectralSplit(pos, neg, phi_p, phi_n, sig_p, sig_n, szz_p, szz_n)
-
-
-def base_energy(eps: np.ndarray, elast: Elasticity) -> float:
-    """Undamaged energy density 0.5 * eps : D : eps."""
-    e = _validate_strain(eps, elast.dim)
-    tr = np.trace(e)
-    return 0.5 * elast.lam * tr * tr + elast.mu * float(np.sum(e * e))
-
-
-def effective_stress(law: DamageLaw, split: SpectralSplit, eta: float) -> np.ndarray:
-    """Degraded stress g(eta) * sigma0+ + sigma0-; compression carries full stiffness.
-
-    eta is the history value of phi+ maintained by the caller; passing the
-    current phi+ reproduces the monotone-loading response.
-    """
-    if eta < 0.0:
-        raise DomainError("history energy must be >= 0")
-    g = degradation(law, eta)
-    return g * split.sigma0_plus + split.sigma0_minus
+def tensile_energy_density(strains: np.ndarray, elast: Elasticity) -> np.ndarray:
+    """phi+ of Voigt strains (..., 3) in plane strain or (..., 6) in 3D."""
+    strains = np.asarray(strains, dtype=float)
+    n = _VOIGT_LENGTH[elast.regime]
+    if strains.shape[-1:] != (n,):
+        raise DomainError(
+            f"{elast.regime} strains need a last axis of length {n}, got shape {strains.shape}")
+    if elast.regime == PLANE_STRAIN:
+        # closed-form in-plane principal strains
+        exx, eyy, gxy = strains[..., 0], strains[..., 1], strains[..., 2]
+        exy = 0.5 * gxy
+        c = 0.5 * (exx + eyy)
+        r = np.sqrt((0.5 * (exx - eyy)) ** 2 + exy**2)
+        l1, l2 = c + r, c - r
+        p1, p2 = np.maximum(l1, 0.0), np.maximum(l2, 0.0)
+        trp = p1 + p2
+        return 0.5 * elast.lam * trp * trp + elast.mu * (p1 * p1 + p2 * p2)
+    eps = np.empty(strains.shape[:-1] + (3, 3))
+    eps[..., [0, 1, 2], [0, 1, 2]] = strains[..., :3]
+    # (yz, xz, xy) sit at the (1, 2), (0, 2), (0, 1) entries, halved
+    eps[..., [1, 0, 0], [2, 2, 1]] = 0.5 * strains[..., 3:]
+    eps[..., [2, 2, 1], [1, 0, 0]] = 0.5 * strains[..., 3:]
+    p = np.maximum(np.linalg.eigvalsh(eps), 0.0)
+    trp = p.sum(axis=-1)
+    return 0.5 * elast.lam * trp * trp + elast.mu * (p * p).sum(axis=-1)

@@ -6,6 +6,14 @@ bottom edge fully fixed, vertical displacement driven on the top edge.
 Meshes are tensor-product grids, uniform at the target element size in a
 band around the notch/ligament line and geometrically graded outside it.
 
+The damage model is the "hybrid" one of Ambati, Gerasimov & De Lorenzis
+(Comput. Mech. 55, 2015): the degradation factor g(eta) scales the whole
+undamaged stiffness K0, in tension and compression alike, while the history
+eta follows only the tensile energy phi+ of the spectral strain split
+(`continuum.tensile_energy_density`). No single energy has this pair as its
+derivatives, so the external work is only bounded below by the stored energy
+1/2 u^T K u plus the dissipation, not equal to their sum.
+
 The solver is a staggered secant scheme: assemble the stiffness with the
 degradation factor frozen at each Gauss point, solve the linear system,
 re-split the strains to update the tensile driving energy and history,
@@ -46,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .continuum import Elasticity, elasticity_tensor
+from .continuum import Elasticity, elasticity_tensor, tensile_energy_density
 from .damage_laws import DamageLaw, check_law_kind, damage as law_damage, degradation as law_degradation
 from .errors import ConfigurationError, NonConvergenceError, integral
 
@@ -376,18 +384,6 @@ class ReducedSystem:
     def element_forces(self, u: np.ndarray) -> np.ndarray:
         """Ke u_e of the last assembly, shape (ne, 8)."""
         return np.einsum("eij,ej->ei", self.Ke, u[self.dofs])
-
-
-def tensile_energy_density(strains: np.ndarray, elast: Elasticity) -> np.ndarray:
-    """phi+ of Voigt plane strains (..., 3) by the in-plane spectral split."""
-    exx, eyy, gxy = strains[..., 0], strains[..., 1], strains[..., 2]
-    exy = 0.5 * gxy
-    c = 0.5 * (exx + eyy)
-    r = np.sqrt((0.5 * (exx - eyy)) ** 2 + exy**2)
-    l1, l2 = c + r, c - r
-    p1, p2 = np.maximum(l1, 0.0), np.maximum(l2, 0.0)
-    trp = p1 + p2
-    return 0.5 * elast.lam * trp * trp + elast.mu * (p1 * p1 + p2 * p2)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,6 @@ class BarProblem:
             raise DomainError(f"boundary program not finite at t={t}")
         return g
 
-    def element_energy(self, strain: float) -> float:
-        return self.h * float(stored_density(self.law, 0.5 * self.k * strain * strain))
-
     def state_energy(self, ends: np.ndarray) -> float:
         strains = (ends[:, 1] - ends[:, 0]) / self.h
         phis = 0.5 * self.k * strains * strains

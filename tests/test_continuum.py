@@ -1,16 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from cdfdamage.continuum import (
-    Elasticity,
-    base_energy,
-    effective_stress,
-    elasticity_tensor,
-    spectral_split,
-)
-from cdfdamage.damage_laws import DamageLaw
+from cdfdamage.continuum import Elasticity, elasticity_tensor, tensile_energy_density
 from cdfdamage.errors import ConfigurationError, DomainError
 
 
@@ -46,125 +37,104 @@ def test_elasticity_tensor_structure():
         assert np.all(np.linalg.eigvalsh(D) > 0.0)
 
 
-def test_split_pure_tension_and_compression():
-    el = Elasticity(E=210.0, nu=0.3)
-    eps = np.diag([0.001, 0.002])
-    s = spectral_split(eps, el)
-    assert np.allclose(s.eps_minus, 0.0)
-    assert s.phi_minus == 0.0
-    assert s.phi_plus == pytest.approx(base_energy(eps, el), rel=1e-14)
+def _voigt3(eps):
+    """(xx, yy, zz, yz, xz, xy) with engineering shears of a symmetric 3x3 strain."""
+    return np.array([eps[0, 0], eps[1, 1], eps[2, 2], 2 * eps[1, 2], 2 * eps[0, 2], 2 * eps[0, 1]])
 
-    eps = np.diag([-0.003, -0.001])
-    s = spectral_split(eps, el)
-    assert np.allclose(s.eps_plus, 0.0)
-    assert s.phi_plus == 0.0
+
+def _full_energy(voigt, el):
+    """Undamaged energy density 0.5 * eps^T D eps."""
+    return 0.5 * voigt @ elasticity_tensor(el) @ voigt
+
+
+def _random_strain(rng, lo=-0.01, hi=0.01):
+    a = rng.uniform(lo, hi, size=(3, 3))
+    return 0.5 * (a + a.T)
+
+
+def _rotated(rng, principal):
+    q, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(3, 3)))
+    return q @ np.diag(principal) @ q.T
+
+
+def test_split_pure_tension_and_compression():
+    rng = np.random.default_rng(11)
+    el = Elasticity(E=210.0, nu=0.3, regime="3d")
+    eps = _voigt3(_rotated(rng, [0.001, 0.002, 0.0005]))
+    assert tensile_energy_density(eps, el) == pytest.approx(_full_energy(eps, el), rel=1e-12)
+
+    eps = _voigt3(_rotated(rng, [-0.003, -0.001, -0.002]))
+    assert tensile_energy_density(eps, el) == 0.0
+
+    el2 = Elasticity(E=210.0, nu=0.3)
+    eps = np.array([0.001, 0.002, 0.0])
+    assert tensile_energy_density(eps, el2) == pytest.approx(_full_energy(eps, el2), rel=1e-14)
+    assert tensile_energy_density(np.array([-0.003, -0.001, 0.0]), el2) == 0.0
 
 
 def test_split_mixed_zero_poisson():
-    el = Elasticity(E=1.0, nu=0.0)
-    eps = np.diag([0.001, -0.001])
-    s = spectral_split(eps, el)
-    # mu = 1/2, lam = 0: each part carries 0.5 * (0.001)^2
-    assert s.phi_plus == pytest.approx(0.5 * 0.001**2, rel=1e-12)
-    assert s.phi_minus == pytest.approx(0.5 * 0.001**2, rel=1e-12)
+    # mu = 1/2, lam = 0: the tensile part carries 0.5 * (0.001)^2
+    for el, eps in (
+        (Elasticity(E=1.0, nu=0.0, regime="3d"), np.array([0.001, -0.001, 0.0, 0.0, 0.0, 0.0])),
+        (Elasticity(E=1.0, nu=0.0), np.array([0.001, -0.001, 0.0])),
+    ):
+        assert tensile_energy_density(eps, el) == pytest.approx(0.5 * 0.001**2, rel=1e-12)
 
 
 def test_split_invariants_random_tensors():
     rng = np.random.default_rng(42)
-    for el in (Elasticity(210.0, 0.3), Elasticity(75.0, 0.22, "3d")):
-        d = el.dim
-        for _ in range(5000):
-            a = rng.uniform(-0.01, 0.01, size=(d, d))
-            eps = 0.5 * (a + a.T)
-            s = spectral_split(eps, el)
-            assert np.allclose(s.eps_plus + s.eps_minus, eps, atol=1e-12)
-            assert np.all(np.linalg.eigvalsh(s.eps_plus) >= -1e-14)
-            assert np.all(np.linalg.eigvalsh(s.eps_minus) <= 1e-14)
-            assert abs(float(np.sum(s.eps_plus * s.eps_minus))) <= 1e-16
-            assert s.phi_plus >= 0.0 and s.phi_minus >= 0.0
+    el3 = Elasticity(75.0, 0.22, "3d")
+    strains = np.array([_voigt3(_random_strain(rng)) for _ in range(5000)])
+    assert np.all(tensile_energy_density(strains, el3) >= 0.0)
+    el2 = Elasticity(210.0, 0.3)
+    assert np.all(tensile_energy_density(rng.uniform(-0.01, 0.01, size=(5000, 3)), el2) >= 0.0)
 
 
 def test_energy_additivity_single_sign_and_zero_poisson():
+    # phi+(eps) + phi+(-eps) is the full energy when eps has one sign, and for
+    # every strain when lam = 0
     rng = np.random.default_rng(7)
-    el = Elasticity(210.0, 0.3)
+    el = Elasticity(210.0, 0.3, "3d")
     for _ in range(200):
-        a = rng.uniform(0.0, 0.01, size=2)
-        v = rng.uniform(-1.0, 1.0, size=(2, 2))
-        q, _ = np.linalg.qr(v)
-        eps = q @ np.diag(a) @ q.T  # positive definite strain
-        eps = 0.5 * (eps + eps.T)
-        s = spectral_split(eps, el)
-        assert s.phi_plus + s.phi_minus == pytest.approx(base_energy(eps, el), rel=1e-10)
-    el0 = Elasticity(100.0, 0.0)
+        eps = _voigt3(_rotated(rng, rng.uniform(0.0, 0.01, size=3)))
+        total = tensile_energy_density(eps, el) + tensile_energy_density(-eps, el)
+        assert total == pytest.approx(_full_energy(eps, el), rel=1e-10)
+    el0 = Elasticity(100.0, 0.0, "3d")
     for _ in range(200):
-        a = rng.uniform(-0.01, 0.01, size=(2, 2))
-        eps = 0.5 * (a + a.T)
-        s = spectral_split(eps, el0)
-        assert s.phi_plus + s.phi_minus == pytest.approx(
-            base_energy(eps, el0), rel=1e-10, abs=1e-18
-        )
+        eps = _voigt3(_random_strain(rng))
+        total = tensile_energy_density(eps, el0) + tensile_energy_density(-eps, el0)
+        assert total == pytest.approx(_full_energy(eps, el0), rel=1e-10, abs=1e-18)
 
 
-def test_effective_stress_virgin_and_compression():
+def test_plane_strain_closed_form_matches_3d_eigenvalues():
+    rng = np.random.default_rng(2)
+    el2 = Elasticity(210.0, 0.3)
+    el3 = Elasticity(210.0, 0.3, "3d")
+    voigt2 = rng.uniform(-0.01, 0.01, size=(500, 3))
+    voigt3 = np.zeros((500, 6))
+    voigt3[:, [0, 1, 5]] = voigt2  # eps_zz = 0, no out-of-plane shear
+    want = tensile_energy_density(voigt3, el3)
+    got = tensile_energy_density(voigt2, el2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-20)
+
+
+def test_split_keeps_leading_shape():
+    rng = np.random.default_rng(5)
     el = Elasticity(210.0, 0.3)
-    law = DamageLaw("exponential", G=1.0, ell=1.0)
-    eps = np.array([[0.002, 0.0004], [0.0004, -0.001]])
-    s = spectral_split(eps, el)
-    sigma = effective_stress(law, s, 0.0)
-    D = elasticity_tensor(el)
-    voigt = np.array([eps[0, 0], eps[1, 1], 2 * eps[0, 1]])
-    sv = D @ voigt
-    full = np.array([[sv[0], sv[2]], [sv[2], sv[1]]])
-    assert np.allclose(sigma, full, rtol=1e-12, atol=1e-15)
-
-    eps_c = np.diag([-0.004, -0.002])
-    sc = spectral_split(eps_c, el)
-    for eta in (0.0, 0.5, 50.0):
-        sig = effective_stress(law, sc, eta)
-        assert np.allclose(sig, sc.sigma0_minus, atol=1e-15)
-
-
-def test_effective_stress_uniaxial_matches_1d_formula():
-    # nu = 0 so the tensor response reduces to the scalar law
-    el = Elasticity(E=1.0, nu=0.0)
-    law = DamageLaw("exponential", G=1.0, ell=1.0)
-    eps = np.diag([1.0, 0.0])
-    s = spectral_split(eps, el)
-    sigma = effective_stress(law, s, s.phi_plus)
-    assert sigma[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-
-def test_effective_stress_continuous_at_repeated_eigenvalues():
-    el = Elasticity(210.0, 0.3)
-    law = DamageLaw("exponential", G=2.7e-3, ell=0.01)
-    base = np.diag([0.002, 0.002])
-    s0 = spectral_split(base, el)
-    sig0 = effective_stress(law, s0, s0.phi_plus)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        d = rng.uniform(-1.0, 1.0, size=(2, 2))
-        d = 0.5 * (d + d.T)
-        d *= 1e-9 / np.linalg.norm(d)
-        s1 = spectral_split(base + d, el)
-        sig1 = effective_stress(law, s1, s1.phi_plus)
-        assert np.linalg.norm(sig1 - sig0) <= 1e-6 * np.linalg.norm(sig0)
-
-
-def test_plane_strain_out_of_plane_stress():
-    el = Elasticity(210.0, 0.3)
-    eps = np.diag([0.001, 0.002])
-    s = spectral_split(eps, el)
-    assert s.szz_plus == pytest.approx(el.lam * 0.003, rel=1e-12)
-    assert s.szz_minus == 0.0
+    strains = rng.uniform(-0.01, 0.01, size=(7, 4, 3))
+    phi = tensile_energy_density(strains, el)
+    assert phi.shape == (7, 4)
+    assert phi[3, 2] == tensile_energy_density(strains[3, 2], el)
+    el3 = Elasticity(210.0, 0.3, "3d")
+    assert tensile_energy_density(rng.uniform(-0.01, 0.01, size=(7, 4, 6)), el3).shape == (7, 4)
 
 
 def test_strain_validation():
-    el = Elasticity(210.0, 0.3)
+    el2 = Elasticity(210.0, 0.3)
+    el3 = Elasticity(210.0, 0.3, "3d")
     with pytest.raises(DomainError):
-        spectral_split(np.array([[0.0, 1e-3], [2e-3, 0.0]]), el)
+        tensile_energy_density(np.zeros((4, 6)), el2)
     with pytest.raises(DomainError):
-        spectral_split(np.full((2, 2), np.nan), el)
+        tensile_energy_density(np.zeros((4, 3)), el3)
     with pytest.raises(DomainError):
-        spectral_split(np.zeros((3, 3)), el)
-    with pytest.raises(DomainError):
-        effective_stress(DamageLaw("exponential"), spectral_split(np.zeros((2, 2)), el), -1.0)
+        tensile_energy_density(np.zeros((2, 2)), el2)

@@ -20,7 +20,6 @@ from cdfdamage.fem2d import (
     element_jacobians,
     run_sent,
     solve_elastic_dirichlet,
-    tensile_energy_density,
 )
 
 
@@ -398,20 +397,6 @@ def test_damage_disabled_is_linear():
 # ---------------------------------------------------------------------------
 # constitutive pieces
 # ---------------------------------------------------------------------------
-
-def test_tensile_energy_matches_spectral_split():
-    from cdfdamage.continuum import spectral_split
-
-    rng = np.random.default_rng(2)
-    el = Elasticity(210.0, 0.3)
-    for _ in range(500):
-        exx, eyy, gxy = rng.uniform(-0.01, 0.01, size=3)
-        voigt = np.array([exx, eyy, gxy])
-        eps = np.array([[exx, 0.5 * gxy], [0.5 * gxy, eyy]])
-        want = spectral_split(eps, el).phi_plus
-        got = tensile_energy_density(voigt, el)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-20)
-
 
 def test_eta_monotone_and_energy_bookkeeping():
     m = build_sent_mesh("smoke")
